@@ -43,7 +43,7 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:7000", "TCP listen address")
 		profile  = flag.String("profile", "gt4c", "service stack profile: gt3, gt4, gt4c, instant")
 		exchange = flag.Duration("exchange", 3*time.Minute, "peer state-exchange interval")
-		strategy = flag.String("strategy", "usage-only", "dissemination: usage-only, usage-and-uslas, no-exchange")
+		strategy = flag.String("strategy", "usage-only", "dissemination: usage-only, usage-and-uslas, no-exchange, gossip")
 		sites    = flag.String("sites", "", "site inventory file (name totalCPUs freeCPUs per line)")
 		uslas    = flag.String("uslas", "", "USLA policy file (usla text format)")
 		status   = flag.Duration("status", time.Minute, "status log period (0 disables)")
@@ -219,6 +219,8 @@ func strategyByName(name string) digruber.DisseminationStrategy {
 		return digruber.UsageAndUSLAs
 	case "no-exchange":
 		return digruber.NoExchange
+	case "gossip":
+		return digruber.Gossip
 	default:
 		fatalIf(fmt.Errorf("unknown strategy %q", name))
 		return digruber.UsageOnly

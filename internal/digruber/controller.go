@@ -479,7 +479,8 @@ func (c *Controller) scaleDown(now time.Time) error {
 
 	c.overseer.Detach(victim.Name())
 	// Symmetric teardown: the departed name must not linger as a dead
-	// peer eating probe rounds and pinning every survivor's local log.
+	// peer eating probe rounds and holding back every survivor's log
+	// compaction until its records expire.
 	for _, s := range survivors {
 		s.RemovePeer(victim.Name())
 	}

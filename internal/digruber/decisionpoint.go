@@ -46,7 +46,7 @@ type Config struct {
 	// get defaults.
 	Saturation SaturationConfig
 	// MeshLane reserves this many dedicated service-stack workers for
-	// mesh and monitoring RPCs (Exchange, Status, Snapshot), so a
+	// mesh and monitoring RPCs (Gossip, Status, Snapshot), so a
 	// client-saturated decision point keeps converging its view and
 	// stays observable. 0 disables the lane (all methods share the
 	// container's worker pool, as before).
@@ -101,9 +101,10 @@ type DecisionPoint struct {
 	listener wire.Listener
 	detector *SaturationDetector
 	metrics  *dpMetrics
-	// view is the gossip membership view, maintained alongside peers by
+	// view is the membership view, maintained alongside peers by
 	// AddPeer/RemovePeer (it has its own lock and caps the active subset
-	// internally). Only the Gossip strategy samples it.
+	// internally). Mesh rounds contact all of it; only the Gossip
+	// strategy samples it.
 	view *gossip.View
 	// alertSource, when set, supplies the current SLO alert summary for
 	// Status replies (see SetAlertSource).
@@ -118,7 +119,7 @@ type DecisionPoint struct {
 	ticker    vtime.Ticker
 	done      chan struct{}
 	serveDone chan struct{}
-	rounds    int       // exchange (or gossip) rounds completed
+	rounds    int       // synchronization rounds completed
 	sentRecs  int       // dispatch records sent to peers
 	lastRound time.Time // completion time of the last exchange round
 	// gossipRound numbers gossip rounds monotonically; it seeds each
@@ -138,13 +139,12 @@ type peerLink struct {
 	// client is nil while the decision point is stopped (wire.Client.Close
 	// is terminal, so Start builds a fresh one).
 	client *wire.Client
-	// lastSent is the highest engine sequence number this peer has
-	// acknowledged; the next round resends everything after it.
-	lastSent uint64
-	// ackVV is the peer's last-advertised version vector (gossip digest):
-	// everything it holds, by origin. The gossip push is diffed against
-	// it and compaction takes the per-origin minimum across all links.
-	// Nil until the first exchange with this peer.
+	// ackVV is the peer's last-acknowledged version vector: what it
+	// holds, by origin (under the mesh, only this point's own origin).
+	// The push is diffed against it, compaction takes the per-origin
+	// minimum across all links, and its entry for this point's own
+	// origin is the drain flush's completeness proof. Nil until the
+	// first exchange with this peer.
 	ackVV map[string]uint64
 	// Health: consecutive exchange failures drive alive → suspect → dead;
 	// dead peers are only probed after a growing backoff, so one crashed
@@ -224,6 +224,9 @@ func New(cfg Config) (*DecisionPoint, error) {
 		view:     gossip.NewView(cfg.Name, cfg.Gossip.Seed, cfg.Gossip.ViewSize),
 	}
 	dp.engine.SetTracer(cfg.Tracer)
+	// Only gossip relays; under the mesh every origin pushes its own
+	// records to every peer, so receivers keep just the floors.
+	dp.engine.SetRelay(cfg.Strategy == Gossip)
 	if cfg.Durability != nil {
 		if cfg.Durability.Store == nil {
 			return nil, fmt.Errorf("digruber: decision point %s: Durability needs a Store", cfg.Name)
@@ -249,7 +252,7 @@ func (dp *DecisionPoint) newServer() *wire.Server {
 	s := wire.NewServer(dp.cfg.Node, dp.cfg.Profile, dp.cfg.Clock)
 	s.SetTracer(dp.cfg.Tracer)
 	if dp.cfg.MeshLane > 0 {
-		s.ReserveLane(dp.cfg.MeshLane, meshLaneQueue, MethodExchange, MethodGossip, MethodStatus, MethodSnapshot)
+		s.ReserveLane(dp.cfg.MeshLane, meshLaneQueue, MethodGossip, MethodStatus, MethodSnapshot)
 	}
 	return s
 }
@@ -290,21 +293,6 @@ func (dp *DecisionPoint) registerHandlers() {
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
 		dp.engine.RecordDispatchCtx(ctx.Span, a.Dispatch)
 		return ReportReply{OK: true}, nil
-	})
-	wire.HandleCtx(dp.server, MethodExchange, func(ctx wire.Ctx, a ExchangeArgs) (ExchangeReply, error) {
-		// Hearing from a peer proves it is up — this is how a restarted
-		// decision point's first outbound exchange revives its link at
-		// every peer without waiting out their probe backoff.
-		dp.markPeerAlive(a.From)
-		merged := dp.engine.MergeRemoteCtx(ctx.Span, a.Dispatches)
-		for _, e := range a.USLAs {
-			// Under usage-and-USLAs dissemination, remote entries are
-			// folded into local policy knowledge.
-			if err := dp.cfg.Policies.Add(e); err != nil {
-				return ExchangeReply{}, err
-			}
-		}
-		return ExchangeReply{Merged: merged}, nil
 	})
 	wire.HandleCtx(dp.server, MethodGossip, dp.handleGossip)
 	wire.Handle(dp.server, MethodStatus, func(a StatusArgs) (StatusReply, error) {
@@ -613,121 +601,26 @@ func (dp *DecisionPoint) exchangeLoop(ticker vtime.Ticker, done chan struct{}) {
 	}
 }
 
-// ExchangeNow performs one synchronization round immediately —
-// full-mesh flood or sampled gossip, per the configured strategy —
+// ExchangeNow performs one synchronization round immediately — the
+// full mesh or a sampled gossip round, per the configured strategy —
 // returning how many dispatch records were sent. Rounds normally run
 // off the interval ticker; tests and reconfiguration logic call this
 // directly.
 func (dp *DecisionPoint) ExchangeNow() int { return dp.syncNow(false) }
 
-// syncNow dispatches one synchronization round to the configured
-// strategy's implementation; force is passed through (contact even
-// dead-and-backed-off peers — the drain flush's mode).
+// syncNow runs one synchronization round (none under NoExchange); force
+// contacts even dead peers whose probe backoff has not elapsed. The
+// drain flush uses it — a retiring point must get its last records out
+// (or fail trying) every retry, not sit out a probe interval against a
+// peer that just healed.
 func (dp *DecisionPoint) syncNow(force bool) int {
 	var sent int
-	if dp.cfg.Strategy == Gossip {
+	if dp.cfg.Strategy != NoExchange {
 		sent = dp.gossipNow(force)
-	} else {
-		sent = dp.exchangeNow(force)
 	}
 	// The round boundary doubles as the durability checkpoint cadence
 	// check — deterministic under a Manual clock, unlike a timer.
 	dp.maybeCheckpoint()
-	return sent
-}
-
-// exchangeNow is ExchangeNow with an override: force contacts even dead
-// peers whose probe backoff has not elapsed. The drain flush uses it —
-// a retiring point must get its last records out (or fail trying) every
-// retry, not sit out a probe interval against a peer that just healed.
-func (dp *DecisionPoint) exchangeNow(force bool) int {
-	now := dp.cfg.Clock.Now()
-	dp.mu.Lock()
-	links := make([]*peerLink, 0, len(dp.peers))
-	for _, name := range dp.peerNamesLocked() {
-		l := dp.peers[name]
-		if l.client == nil {
-			continue // stopped
-		}
-		if !force && l.state == peerDead && now.Before(l.nextProbe) {
-			continue // dead; not due for a probe yet
-		}
-		links = append(links, l)
-	}
-	strategy := dp.cfg.Strategy
-	timeout := dp.cfg.PeerTimeout
-	dp.mu.Unlock()
-
-	if strategy == NoExchange {
-		return 0
-	}
-	// Peers are contacted in name order so a traced round draws its span
-	// IDs in a reproducible sequence.
-	sort.Slice(links, func(i, j int) bool { return links[i].name < links[j].name })
-	round := dp.cfg.Tracer.StartTrace(trace.PhaseMeshRound)
-	sent := 0
-	var wg sync.WaitGroup
-	for _, link := range links {
-		link := link
-		dp.mu.Lock()
-		cursor := link.lastSent
-		client := link.client
-		dp.mu.Unlock()
-		if client == nil {
-			continue // Stop raced us
-		}
-		// The engine assigns sequence numbers under its own lock, so the
-		// (batch, hi) pair is exact: acknowledging hi never skips a
-		// record whose append lost a race with this read.
-		batch, hi := dp.engine.LocalDispatchesAfter(cursor)
-		args := ExchangeArgs{From: dp.cfg.Name, Dispatches: batch}
-		if strategy == UsageAndUSLAs {
-			args.USLAs = dp.cfg.Policies.Entries()
-		}
-		// The per-peer span (and its ID draw) happens here, in name order;
-		// only the call itself runs concurrently.
-		ex := dp.cfg.Tracer.StartSpan(round.Context(), trace.PhaseMeshExchange)
-		ex.SetNote(link.name)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := wire.CallCtx[ExchangeArgs, ExchangeReply](client, ex.Context(), MethodExchange, args, timeout)
-			ex.End()
-			dp.mu.Lock()
-			if err == nil {
-				dp.peerAliveLocked(link)
-				if hi > link.lastSent {
-					link.lastSent = hi
-				}
-			} else {
-				dp.peerFailedLocked(link, dp.cfg.Clock.Now())
-			}
-			dp.mu.Unlock()
-			// On failure the batch is retransmitted next round (or next
-			// probe); the receiver's JobID dedup makes that harmless.
-		}()
-		sent += len(batch)
-	}
-	wg.Wait()
-	round.End()
-	end := dp.cfg.Clock.Now()
-	dp.metrics.roundDur.Observe(end.Sub(now).Seconds())
-	dp.mu.Lock()
-	dp.rounds++
-	dp.sentRecs += sent
-	dp.lastRound = end
-	// Bound the local log: records every peer has acknowledged are never
-	// needed again. With no peers at all, nobody will ever ask, so the
-	// whole log can go.
-	oldest := ^uint64(0)
-	//lint:allow mapiter -- min over values; the result is order-independent
-	for _, l := range dp.peers {
-		if l.lastSent < oldest {
-			oldest = l.lastSent
-		}
-	}
-	dp.mu.Unlock()
-	dp.engine.CompactLocalBefore(oldest)
 	return sent
 }
 
@@ -783,9 +676,10 @@ func (dp *DecisionPoint) Stop() {
 
 // Crash models a broker process dying: the decision point stops serving
 // AND loses its dynamic state — the engine's dispatch views, dedup set
-// and exchange log, plus the per-peer exchange cursors and health. The
-// engine's site baseline survives (static knowledge is re-bootstrapped
-// from configuration on restart, per the paper's dissemination model).
+// and per-origin logs, plus the per-peer acknowledged vectors and
+// health. The engine's site baseline survives (static knowledge is
+// re-bootstrapped from configuration on restart, per the paper's
+// dissemination model).
 // With durability on, the write-ahead store survives the crash (that is
 // its whole purpose); the next Start replays it before serving.
 func (dp *DecisionPoint) Crash() {
@@ -797,7 +691,6 @@ func (dp *DecisionPoint) Crash() {
 	dp.mu.Lock()
 	//lint:allow mapiter -- per-peer state reset with no cross-peer reads; order cannot matter
 	for _, l := range dp.peers {
-		l.lastSent = 0
 		l.ackVV = nil
 		l.markAliveLocked()
 	}

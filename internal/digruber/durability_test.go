@@ -422,3 +422,66 @@ func TestDrainAfterRecovery(t *testing.T) {
 		t.Fatalf("peer pending after drain = %d, want 9 (flush covered the recovered log)", got)
 	}
 }
+
+// TestReplayedStaleFloorIsNotAnAck: WAL replay keeps the highest floor
+// it replays for an origin, so a durable receiver can come back holding
+// a floor from the sender's previous incarnation, above anything the
+// sender has issued since. The sender must not take it as an
+// acknowledgment: its later records still reach the receiver.
+func TestReplayedStaleFloorIsNotAnAck(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	recv := newDurableDP(t, clock, mem, "dp-1", wal.NewMemStore(), 0)
+	send, err := New(Config{
+		Name: "dp-0", Addr: "dp-0",
+		Transport: mem, Clock: clock, Profile: wire.Instant(),
+		Strategy:         UsageOnly,
+		ExchangeInterval: 24 * time.Hour,
+		PeerTimeout:      30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send.Engine().UpdateSites(testStatuses(100, 100), clock.Now())
+	send.AddPeer("dp-1", "dp-1", "dp-1")
+	recv.AddPeer("dp-0", "dp-0", "dp-0")
+	for _, dp := range []*DecisionPoint{send, recv} {
+		if err := dp.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dp.Stop)
+	}
+	floor := func() uint64 { return recv.Engine().OriginVector()["dp-0"] }
+
+	for i := 0; i < 3; i++ {
+		send.Engine().RecordDispatch(durTestDispatch(i, clock.Now()))
+	}
+	send.ExchangeNow()
+	clock.Advance(3 * time.Hour) // past the 2h runtimes
+	send.Crash()
+	if err := send.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	send.Engine().RecordDispatch(durTestDispatch(10, clock.Now()))
+	send.ExchangeNow()
+	if got := floor(); got != 1 {
+		t.Fatalf("receiver floor for the restarted sender = %d, want 1", got)
+	}
+
+	recv.Crash()
+	if err := recv.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if got := floor(); got != 3 {
+		t.Fatalf("replayed floor = %d, want 3 (the old incarnation's)", got)
+	}
+	send.ExchangeNow() // nothing new to push; the reply carries the stale floor
+	send.Engine().RecordDispatch(durTestDispatch(11, clock.Now()))
+	send.ExchangeNow()
+	if got := recv.Engine().PendingDispatches(); got != 2 {
+		t.Fatalf("receiver holds %d live dispatches, want 2 (both of the new incarnation's)", got)
+	}
+	if !send.flushComplete() {
+		t.Fatal("drain flush incomplete after the receiver acknowledged everything")
+	}
+}

@@ -9,16 +9,28 @@ import (
 	"digruber/internal/wire"
 )
 
-// The Gossip dissemination strategy (strategy.go) replaces the full-mesh
-// flood with peer-sampling push-pull rounds. Each round this decision
-// point draws fanout-k peers from its membership view with a seeded
-// deterministic shuffle (gossip.View.Sample), sends each its
-// version-vector digest plus the records that peer's last-acknowledged
-// vector lacked, and merges the records the peer's reply digest proved
-// this side lacked. Third-party records relay transitively through the
-// per-origin logs (gruber.MergeGossip), so a sparse sampled graph still
-// converges — in O(log N) rounds with high probability — while per-point
-// traffic tracks the fanout, not the fleet size.
+// One round engine serves every disseminating strategy (strategy.go).
+// A round sends each contacted peer the dispatch records its
+// last-acknowledged version vector lacks and takes the peer's reply
+// digest as the new acknowledgment; compaction then drops what every
+// peer has acknowledged, plus anything expired. The strategy only shapes
+// the round:
+//
+//   - The paper's full mesh (UsageOnly, UsageAndUSLAs): contact every
+//     peer and push only this point's own records, unbounded, so one
+//     round delivers everything a peer lacks. Receivers relay nothing
+//     and pull nothing, keep only each origin's floor, and reply with
+//     just their floor for the sender. Messages carry no digest and no
+//     membership, so per-point bytes grow linearly with the fleet.
+//   - Gossip: draw fanout-k peers from the membership view with a seeded
+//     deterministic shuffle (gossip.View.Sample) and run a push-pull
+//     exchange. Both sides advertise their full version-vector digest,
+//     each ships what the other lacks (own and relayed records alike, up
+//     to a batch bound), and a bounded membership sample rides along.
+//     Third-party records relay transitively through the per-origin logs
+//     (gruber.MergeGossip), so a sparse sampled graph still converges —
+//     in O(log N) rounds with high probability — while per-point traffic
+//     tracks the fanout, not the fleet size.
 
 // GossipConfig tunes the Gossip dissemination strategy; zero values get
 // defaults from the gossip package.
@@ -53,12 +65,12 @@ func (dp *DecisionPoint) selfMember() gossip.Member {
 	return gossip.Member{Name: dp.cfg.Name, Node: dp.cfg.Node, Addr: dp.cfg.Addr}
 }
 
-// gossipNow runs one gossip round: sample, push-pull with each target
-// concurrently, then advance the compaction floor. force (the drain
-// flush) contacts every known peer instead of a sample and ignores
-// probe backoff, exactly like exchangeNow's force. Returns the number
-// of records pushed.
+// gossipNow runs one round: pick the targets, push to each
+// concurrently, merge the replies, then advance the compaction floor.
+// force (the drain flush) contacts every known peer and ignores probe
+// backoff. Returns the number of records pushed.
 func (dp *DecisionPoint) gossipNow(force bool) int {
+	mesh := dp.cfg.Strategy != Gossip
 	now := dp.cfg.Clock.Now()
 	dp.mu.Lock()
 	round := dp.gossipRound
@@ -66,7 +78,7 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	dp.mu.Unlock()
 
 	var targets []gossip.Member
-	if force {
+	if force || mesh {
 		targets = dp.view.All()
 	} else {
 		targets = dp.view.Sample(round, dp.cfg.Gossip.Fanout)
@@ -88,10 +100,20 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	dp.mu.Unlock()
 	sort.Slice(links, func(i, j int) bool { return links[i].name < links[j].name })
 
-	// Membership piggyback: self plus this round's targets — bounded by
-	// the fanout, so the payload does not grow with the fleet.
-	members := append([]gossip.Member{dp.selfMember()}, targets...)
-	digest := gossip.Cursors(dp.engine.OriginVector())
+	// The message shape every target of this round shares.
+	base := GossipArgs{From: dp.cfg.Name, Round: round}
+	maxRecords := 0 // the mesh must deliver everything in one round
+	if mesh {
+		if dp.cfg.Strategy == UsageAndUSLAs {
+			base.USLAs = dp.cfg.Policies.Entries()
+		}
+	} else {
+		// Membership piggyback: self plus this round's targets — bounded
+		// by the fanout, so the payload does not grow with the fleet.
+		base.Members = append([]gossip.Member{dp.selfMember()}, targets...)
+		base.Digest = gossip.Cursors(dp.engine.OriginVector())
+		maxRecords = dp.cfg.Gossip.MaxRecords
+	}
 
 	tr := dp.cfg.Tracer.StartTrace(trace.PhaseMeshRound)
 	sent := 0
@@ -113,15 +135,12 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 		}
 		// The push is diffed against this peer's last-acknowledged
 		// vector; a failed or never-contacted peer has a nil vector and
-		// gets everything (up to the batch bound).
-		push := dp.engine.DispatchesSince(ackVV, dp.cfg.Gossip.MaxRecords)
-		args := GossipArgs{
-			From:    dp.cfg.Name,
-			Round:   round,
-			Digest:  digest,
-			Records: push,
-			Members: members,
-		}
+		// gets everything (up to the batch bound). Under the mesh the
+		// engine retains no remote records, so this is the own log only.
+		args := base
+		args.Records = dp.engine.DispatchesSince(ackVV, maxRecords)
+		// The per-peer span (and its ID draw) happens here, in name order;
+		// only the call itself runs concurrently.
 		ex := dp.cfg.Tracer.StartSpan(tr.Context(), trace.PhaseMeshExchange)
 		ex.SetNote(link.name)
 		o := &outcome{link: link, span: ex}
@@ -131,7 +150,7 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 			defer wg.Done()
 			o.reply, o.err = wire.CallCtx[GossipArgs, GossipReply](client, ex.Context(), MethodGossip, args, timeout)
 		}()
-		sent += len(push)
+		sent += len(args.Records)
 	}
 	// Only the calls run concurrently. Replies are merged after the
 	// barrier, in link-name order, so a round's merges — and with them
@@ -145,11 +164,12 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 			dp.peerFailedLocked(o.link, dp.cfg.Clock.Now())
 			dp.mu.Unlock()
 			// The push is recomputed against the unchanged ackVV next time
-			// this peer is sampled; the receiver-side vector and JobID
-			// dedup make retransmission harmless.
+			// this peer is contacted; the receiver's version vector makes
+			// retransmission harmless.
 			continue
 		}
-		// The pull: records the peer held that our digest lacked.
+		// The pull: records the peer held that our digest lacked (none
+		// under the mesh).
 		st := dp.engine.MergeGossipCtx(o.span.Context(), o.link.name, o.reply.Records)
 		o.span.End()
 		dp.mu.Lock()
@@ -157,10 +177,7 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 		// The reply digest is the peer's post-merge state: the ack basis
 		// for the next push diff, for compaction, and — via its
 		// self-origin entry — for the drain flush's completeness proof.
-		o.link.ackVV = gossip.Vector(o.reply.Digest)
-		if self := gossip.Seq(o.reply.Digest, dp.cfg.Name); self > o.link.lastSent {
-			o.link.lastSent = self
-		}
+		o.link.ackVV = dp.ackedBy(o.reply.Digest)
 		dp.gossipPulled += len(o.reply.Records)
 		dp.gossipRelayed += st.Relayed
 		dp.gossipDuplicates += st.Duplicates
@@ -172,37 +189,33 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	dp.metrics.roundDur.Observe(end.Sub(now).Seconds())
 
 	// Compaction floor: for every origin this engine holds, the minimum
-	// sequence acknowledged across the whole view. A peer never heard
-	// from has a nil vector and pins every origin at zero — conservative,
-	// and exactly why departed peers must be removed from the view
-	// (RemovePeer) rather than compacted around.
-	vv := dp.engine.OriginVector()
-	origins := make([]string, 0, len(vv))
-	//lint:allow mapiter -- collected slice is sorted right below
-	for origin := range vv {
-		origins = append(origins, origin)
-	}
-	sort.Strings(origins)
+	// sequence acknowledged across every peer — everything, with no
+	// peers at all. A peer never heard from has a nil vector and pins
+	// every origin at zero until its records expire; departed peers
+	// should still be removed (RemovePeer) rather than waited out.
+	acked := dp.engine.OriginVector()
 	dp.mu.Lock()
 	dp.rounds++
 	dp.sentRecs += sent
 	dp.lastRound = end
-	acked := make(map[string]uint64, len(origins))
 	for _, name := range dp.peerNamesLocked() {
-		gossip.MinAcked(acked, dp.peers[name].ackVV, origins)
+		gossip.MinAcked(acked, dp.peers[name].ackVV)
 	}
-	hasPeers := len(dp.peers) > 0
 	dp.mu.Unlock()
-	if hasPeers {
-		dp.engine.CompactOrigins(acked)
-	}
+	dp.engine.CompactOrigins(acked)
 	return sent
 }
 
-// handleGossip serves one inbound push-pull exchange: merge the push,
-// learn new members, and reply with the post-merge digest plus the
-// records the sender's digest was missing.
+// handleGossip serves one inbound exchange: merge the push, fold any
+// USLA entries, and acknowledge. A gossiping receiver also learns new
+// members and replies with its post-merge digest plus the records the
+// sender's digest was missing; a mesh receiver replies with just the
+// floor it now holds for the sender.
 func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, error) {
+	mesh := dp.cfg.Strategy != Gossip
+	// Hearing from a peer proves it is up — this is how a restarted
+	// decision point's first outbound round revives its link at every
+	// peer without waiting out their probe backoff.
 	dp.markPeerAlive(a.From)
 	for _, m := range a.Members {
 		if m.Name == "" || m.Name == dp.cfg.Name {
@@ -211,28 +224,52 @@ func (dp *DecisionPoint) handleGossip(ctx wire.Ctx, a GossipArgs) (GossipReply, 
 		dp.AddPeer(m.Name, m.Node, m.Addr) // no-op for known names
 	}
 	st := dp.engine.MergeGossipCtx(ctx.Span, a.From, a.Records)
-	// The sender's digest covers everything it holds (push included), so
-	// it doubles as this side's acknowledged vector for that link.
-	senderVV := gossip.Vector(a.Digest)
-	dp.mu.Lock()
-	if l, ok := dp.peers[a.From]; ok {
-		l.ackVV = senderVV
-		if self := gossip.Seq(a.Digest, dp.cfg.Name); self > l.lastSent {
-			l.lastSent = self
+	for _, e := range a.USLAs {
+		// Under usage-and-USLAs dissemination, remote entries are folded
+		// into local policy knowledge.
+		if err := dp.cfg.Policies.Add(e); err != nil {
+			return GossipReply{}, err
 		}
+	}
+	// A gossip sender's digest covers everything it holds (push
+	// included), so it doubles as this side's acknowledged vector for
+	// that link.
+	senderVV := dp.ackedBy(a.Digest)
+	dp.mu.Lock()
+	if l, ok := dp.peers[a.From]; ok && !mesh {
+		l.ackVV = senderVV
 	}
 	dp.gossipRelayed += st.Relayed
 	dp.gossipDuplicates += st.Duplicates
 	dp.mu.Unlock()
 	dp.metrics.gossipResets.Add(int64(st.Resets))
+	reply := GossipReply{From: dp.cfg.Name, Stored: st.Stored}
+	if mesh {
+		reply.Digest = []gossip.Cursor{{Origin: a.From, Seq: dp.engine.OriginVector()[a.From]}}
+		return reply, nil
+	}
 	// The pull: anything we hold that the sender's digest lacks. Records
 	// the sender just pushed are covered by its digest, so they never
 	// echo back.
-	pull := dp.engine.DispatchesSince(senderVV, dp.cfg.Gossip.MaxRecords)
-	return GossipReply{
-		From:    dp.cfg.Name,
-		Digest:  gossip.Cursors(dp.engine.OriginVector()),
-		Records: pull,
-		Stored:  st.Stored,
-	}, nil
+	reply.Records = dp.engine.DispatchesSince(senderVV, dp.cfg.Gossip.MaxRecords)
+	reply.Digest = gossip.Cursors(dp.engine.OriginVector())
+	return reply, nil
+}
+
+// ackedBy reads a peer's digest as what that peer has acknowledged. An
+// entry for this point's own origin above anything it has issued is a
+// floor left over from an earlier incarnation: the own numbering
+// restarts after a crash (only unexpired records are re-adopted), while
+// a mesh receiver keeps an origin's floor indefinitely and WAL replay
+// can rebuild one. Taken as an acknowledgment, it would make every push
+// skip the renumbered records up to it and let the drain flush pass
+// before they were sent. The entry is dropped instead, so the next push
+// carries the whole own log and the peer's restart detection
+// (gruber.MergeGossip) adopts the new numbering.
+func (dp *DecisionPoint) ackedBy(digest []gossip.Cursor) map[string]uint64 {
+	vv := gossip.Vector(digest)
+	if vv[dp.cfg.Name] > dp.engine.LocalSeqHighWater() {
+		delete(vv, dp.cfg.Name)
+	}
+	return vv
 }

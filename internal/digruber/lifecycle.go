@@ -17,7 +17,7 @@ import (
 // While draining, the point refuses new scheduling work (Query/Schedule
 // answer ErrDraining so clients fail over), but keeps accepting Reports
 // (the tail of interactions already in flight) and all mesh/monitoring
-// traffic (Exchange, Status, Snapshot) — peers still need its records
+// traffic (Gossip, Status, Snapshot) — peers still need its records
 // and monitors still need to see it. Crash skips all of this: it models
 // the process dying, state and obligations included.
 
@@ -71,10 +71,10 @@ func drainPoll(timeout time.Duration) time.Duration {
 //     (clients fail over), Status advertises StateDraining.
 //  2. Settle: wait for the service stack's in-flight and queued work to
 //     reach zero, so nothing accepted is abandoned.
-//  3. Final flush: run exchange rounds (force-probing even dead peers)
-//     until every peer has acknowledged this engine's full local
-//     dispatch log — verified against the exchange-cursor high-water
-//     mark, not assumed from one successful round.
+//  3. Final flush: run rounds (force-probing even dead peers) until
+//     every peer has acknowledged every own record it is still owed —
+//     verified against each peer's acknowledged version vector, not
+//     assumed from one successful round.
 //  4. Stop.
 //
 // If settling or flushing exceeds the budget — in-flight work wedged, or
@@ -119,10 +119,10 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 		dp.cfg.Clock.Sleep(poll)
 	}
 
-	// Final flush, verified: every peer's acknowledged cursor must reach
-	// the local log's high-water mark. One round is not enough evidence —
-	// a call can fail against a partitioned peer — so this retries until
-	// the cursors prove completeness or the budget runs out.
+	// Final flush, verified: no peer may be owed an own record. One round
+	// is not enough evidence — a call can fail against a partitioned
+	// peer — so this retries until the acknowledgments prove
+	// completeness or the budget runs out.
 	for !dp.flushComplete() {
 		dp.syncNow(true)
 		if dp.flushComplete() {
@@ -148,16 +148,22 @@ func (dp *DecisionPoint) abortDrain(reason string) error {
 	return fmt.Errorf("digruber: %s: drain aborted: %s", dp.cfg.Name, reason)
 }
 
-// flushComplete reports whether every peer has acknowledged the local
-// dispatch log in full — the drain protocol's exit condition for the
-// final flush.
+// flushComplete reports whether no peer is owed an own dispatch record
+// — the drain protocol's exit condition for the final flush. A peer is
+// owed the own-log records above its acknowledged self-entry. Records
+// the own log no longer holds were acknowledged by every peer or have
+// expired, so with the own log empty nobody is owed anything, not even
+// a dead peer that was never removed.
 func (dp *DecisionPoint) flushComplete() bool {
+	if dp.engine.OriginLogSize(dp.cfg.Name) == 0 {
+		return true
+	}
 	hi := dp.engine.LocalSeqHighWater()
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	//lint:allow mapiter -- conjunction over values; order-independent
 	for _, l := range dp.peers {
-		if l.lastSent < hi {
+		if l.ackVV[dp.cfg.Name] < hi {
 			return false
 		}
 	}

@@ -163,7 +163,7 @@ func (dp *DecisionPoint) registerMetrics(reg *tsdb.Registry) {
 	})
 	for _, m := range []string{
 		MethodQuery, MethodReport, MethodSchedule,
-		MethodExchange, MethodGossip, MethodStatus, MethodSnapshot,
+		MethodGossip, MethodStatus, MethodSnapshot,
 	} {
 		m := m
 		short := shortMethod(m)
@@ -175,7 +175,8 @@ func (dp *DecisionPoint) registerMetrics(reg *tsdb.Registry) {
 		})
 	}
 
-	// Gossip gauges (flat zero series under the flooding strategies).
+	// Gossip gauges (flat zero series under the mesh strategies, which
+	// neither pull nor relay).
 	reg.GaugeFunc(p+"gossip/pulled", func(now time.Time) float64 {
 		dp.mu.Lock()
 		defer dp.mu.Unlock()

@@ -7,8 +7,10 @@
 // service stack (wire package). Submission-host Clients bind statically
 // to one decision point, query it for site loads, run site-selector logic
 // locally, and report the dispatch back — the two-round-trip interaction
-// the paper describes. Decision points flood their recent dispatch
-// observations to every peer each exchange interval; how much they share
+// the paper describes. Each exchange interval a decision point pushes
+// its peers the dispatch records they have not yet acknowledged — every
+// peer its own records under the paper's full mesh, or a sample of
+// peers everything they lack under gossip; what is shared and with whom
 // is the DisseminationStrategy (paper Section 3.5). A client whose
 // decision point fails to answer within its timeout degrades gracefully
 // to random site selection without USLAs.
@@ -24,10 +26,9 @@ import (
 
 // RPC method names exposed by a decision point.
 const (
-	MethodQuery    = "DIGRUBER.QuerySiteLoads"
-	MethodReport   = "DIGRUBER.ReportDispatch"
-	MethodExchange = "DIGRUBER.Exchange"
-	MethodStatus   = "DIGRUBER.Status"
+	MethodQuery  = "DIGRUBER.QuerySiteLoads"
+	MethodReport = "DIGRUBER.ReportDispatch"
+	MethodStatus = "DIGRUBER.Status"
 	// MethodSchedule is the paper's proposed tighter coupling between
 	// broker and job manager: one round trip in which the decision point
 	// runs the site selection itself and records the dispatch, instead
@@ -37,8 +38,8 @@ const (
 	// MethodProposeAgreement installs or updates a WS-Agreement-style
 	// USLA at runtime — the paper's "interactions relating to USLA
 	// modification" that load the brokering service alongside queries.
-	// Under the usage-and-USLAs strategy the new rules flood to peers at
-	// the next exchange.
+	// Under the usage-and-USLAs strategy the new rules reach every peer
+	// at the next round.
 	MethodProposeAgreement = "DIGRUBER.ProposeAgreement"
 	// MethodPublishedAgreements returns the decision point's current
 	// USLA knowledge as agreements, for consumers to "access and
@@ -46,12 +47,14 @@ const (
 	MethodPublishedAgreements = "DIGRUBER.PublishedAgreements"
 	// MethodSnapshot is the anti-entropy path: a decision point rejoining
 	// after a crash pulls one peer's full unexpired dispatch view instead
-	// of waiting for records to drift in over incremental exchanges.
+	// of waiting for records to drift in over incremental rounds.
 	MethodSnapshot = "DIGRUBER.Snapshot"
-	// MethodGossip is one peer-sampling push-pull exchange under the
-	// Gossip dissemination strategy: digests (version vectors over origin
-	// decision points) travel both ways and each side ships what the
-	// other's vector lacks, own and relayed records alike.
+	// MethodGossip is one peer-to-peer synchronization exchange, under
+	// every disseminating strategy: the sender pushes the records the
+	// receiver's acknowledged version vector lacks, and the reply's
+	// digest is the new acknowledgment. Under the Gossip strategy it is
+	// push-pull: digests travel both ways and each side ships what the
+	// other lacks, own and relayed records alike.
 	MethodGossip = "DIGRUBER.Gossip"
 )
 
@@ -119,25 +122,13 @@ type ReportReply struct {
 	OK bool
 }
 
-// ExchangeArgs is one peer-to-peer synchronization message: the sender's
-// own dispatch observations since its last successful exchange with this
-// peer, plus (under the usage-and-USLAs strategy) USLA entries.
-type ExchangeArgs struct {
-	From       string
-	Dispatches []gruber.Dispatch
-	USLAs      []usla.Entry
-}
-
-// ExchangeReply reports how many records were new to the receiver.
-type ExchangeReply struct {
-	Merged int
-}
-
-// GossipArgs is the push half of one gossip exchange: the sender's
-// version-vector digest over every origin it holds a log for, the
-// records it believes this receiver lacks (diffed against the
-// receiver's last-acknowledged vector), and a bounded membership sample
-// so fleet growth propagates epidemically too.
+// GossipArgs is the push half of one exchange: the records the sender
+// believes this receiver lacks (diffed against the receiver's
+// last-acknowledged vector). Under the Gossip strategy it also carries
+// the sender's version-vector digest over every origin it holds a log
+// for and a bounded membership sample, so fleet growth propagates
+// epidemically too; the mesh sends neither, keeping its messages
+// independent of the fleet size.
 type GossipArgs struct {
 	From string
 	// Round is the sender's gossip round counter, carried for traces and
@@ -148,17 +139,26 @@ type GossipArgs struct {
 	// push and compute the pull.
 	Digest []gossip.Cursor
 	// Records is the push: dispatch records the receiver's last
-	// acknowledged vector did not cover, own and relayed origins alike.
+	// acknowledged vector did not cover — the sender's own under the
+	// mesh, own and relayed origins alike under gossip.
 	Records []gruber.Dispatch
 	// Members is a bounded membership sample (the sender plus its
 	// sampled targets this round); receivers add unknown names to their
 	// own view, so joins spread without a central registry.
 	Members []gossip.Member
+	// USLAs carries the sender's USLA entries under the usage-and-USLAs
+	// strategy; receivers fold them into their policy knowledge.
+	// Appended as a trailing extension field: gob elides the nil slice,
+	// so messages without it stay byte-identical to builds that predate
+	// it (TestGossipUSLAsWireCompat).
+	USLAs []usla.Entry
 }
 
 // GossipReply is the pull half: the receiver's post-merge digest (the
 // sender's acknowledgment basis for both retransmission and
-// compaction) and the records the sender's digest was missing.
+// compaction) and the records the sender's digest was missing. A mesh
+// receiver pulls nothing and its digest holds one cursor: its floor for
+// the sender's own origin.
 type GossipReply struct {
 	From    string
 	Digest  []gossip.Cursor
@@ -184,8 +184,9 @@ type SnapshotArgs struct {
 }
 
 // SnapshotReply carries the donor's complete unexpired dispatch view, in
-// deterministic order. Unlike ExchangeArgs it is not filtered by origin:
-// the requester is assumed to have lost everything.
+// deterministic order. Unlike a round's push it is not diffed against an
+// acknowledged vector (unless SnapshotArgs.Vector asks for that): the
+// requester is assumed to have lost everything.
 type SnapshotReply struct {
 	From       string
 	Dispatches []gruber.Dispatch

@@ -71,26 +71,16 @@ func Vector(cursors []Cursor) map[string]uint64 {
 	return vv
 }
 
-// Seq returns the digest's entry for origin (0 when absent).
-func Seq(cursors []Cursor, origin string) uint64 {
-	for _, c := range cursors {
-		if c.Origin == origin {
-			return c.Seq
-		}
-	}
-	return 0
-}
-
 // MinAcked folds one peer's acknowledged vector into a running
-// per-origin minimum over the given origins: for every origin,
-// acc[origin] becomes min(acc[origin], acked[origin]), a missing peer
-// entry counting as zero and a missing acc entry as "first fold". Fold
-// every view member's vector into the same acc to get the compaction
-// floor gruber.CompactOrigins takes.
-func MinAcked(acc map[string]uint64, acked map[string]uint64, origins []string) {
-	for _, origin := range origins {
-		v := acked[origin] // 0 when the peer never acknowledged this origin
-		if cur, ok := acc[origin]; !ok || v < cur {
+// per-origin minimum: for every origin in acc, acc[origin] becomes
+// min(acc[origin], acked[origin]), a missing peer entry counting as
+// zero. Start acc at the local version vector and fold every peer's
+// vector into it to get the compaction floor gruber.CompactOrigins
+// takes; with no peers to fold, everything held counts as acknowledged.
+func MinAcked(acc map[string]uint64, acked map[string]uint64) {
+	//lint:allow mapiter -- per-key min updating existing keys only; order cannot matter
+	for origin, cur := range acc {
+		if v := acked[origin]; v < cur { // 0 when the peer never acknowledged this origin
 			acc[origin] = v
 		}
 	}

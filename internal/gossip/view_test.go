@@ -144,17 +144,13 @@ func TestCursorsRoundTripSortedAndUnique(t *testing.T) {
 	if Cursors(nil) != nil || Vector(nil) != nil {
 		t.Fatal("empty vector/digest must stay nil for gob zero-elision")
 	}
-	if Seq(cs, "dp-b") != 7 || Seq(cs, "dp-x") != 0 {
-		t.Fatalf("Seq lookups wrong: dp-b=%d dp-x=%d", Seq(cs, "dp-b"), Seq(cs, "dp-x"))
-	}
 }
 
 func TestMinAckedFoldsPerOriginMinimum(t *testing.T) {
-	origins := []string{"dp-a", "dp-b"}
-	acc := map[string]uint64{}
-	MinAcked(acc, map[string]uint64{"dp-a": 5, "dp-b": 9}, origins)
-	MinAcked(acc, map[string]uint64{"dp-a": 3}, origins) // dp-b missing → 0
-	if acc["dp-a"] != 3 || acc["dp-b"] != 0 {
-		t.Fatalf("acc = %v; want dp-a:3 dp-b:0", acc)
+	acc := map[string]uint64{"dp-a": 8, "dp-b": 8}
+	MinAcked(acc, map[string]uint64{"dp-a": 5, "dp-b": 9, "dp-c": 1})
+	MinAcked(acc, map[string]uint64{"dp-a": 3}) // dp-b missing → 0
+	if acc["dp-a"] != 3 || acc["dp-b"] != 0 || len(acc) != 2 {
+		t.Fatalf("acc = %v; want dp-a:3 dp-b:0 and no other origin", acc)
 	}
 }

@@ -61,9 +61,9 @@ func BenchmarkRecordDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeRemoteBatch measures folding one exchange batch (100
+// BenchmarkMergeGossipBatch measures folding one pushed batch (100
 // dispatches) into a peer's view.
-func BenchmarkMergeRemoteBatch(b *testing.B) {
+func BenchmarkMergeGossipBatch(b *testing.B) {
 	e := fullGridEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -72,10 +72,11 @@ func BenchmarkMergeRemoteBatch(b *testing.B) {
 		for k := range batch {
 			batch[k] = Dispatch{
 				JobID: fmt.Sprintf("b%d-%d", i, k), Site: fmt.Sprintf("site-%03d", k%300),
-				Owner: "vo-03", CPUs: 1, Runtime: time.Hour, At: epoch, Origin: "dp-other",
+				Owner: "vo-03", CPUs: 1, Runtime: time.Hour, At: epoch,
+				Origin: "dp-other", Seq: uint64(i*len(batch) + k + 1),
 			}
 		}
-		e.MergeRemote(batch)
+		e.MergeGossip("dp-other", batch)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // durability layer composes with internal/wal:
 //
 //   - an appender hook, invoked under the engine lock for every dispatch
-//     record that enters dynamic state (own, merged, gossiped or
+//     record that enters dynamic state (own, peer-sent or
 //     snapshot-imported) — the write-ahead append, ordered exactly as
 //     the state mutations it shadows;
 //   - ExportState, a deterministic full image of the dynamic state (the
@@ -43,7 +43,8 @@ type EngineState struct {
 	// Origins holds every per-origin log, sorted by origin name.
 	Origins []OriginState
 	// View holds the unexpired dispatches folded into site views that
-	// are not retained in any log (snapshot imports, mesh merges), in
+	// are not retained in any log (snapshot imports, and merges while
+	// relay is off, which keep only their origin's floor), in
 	// ExportSnapshot order. Log records double as view state on restore,
 	// so they are not repeated here.
 	View []Dispatch
@@ -183,7 +184,9 @@ func (e *Engine) RestoreState(st EngineState) RestoreStats {
 // appender shadowed at run time, minus the appender itself. Records
 // must be replayed in append order; the per-origin contiguity cases
 // mirror MergeGossip (a gap means the log was compacted between the
-// checkpoint and the append, so the floor fast-forwards).
+// checkpoint and the append, so the floor fast-forwards), and so does
+// the relay setting, which must match the one the records were taken
+// under.
 func (e *Engine) RestoreRecord(d Dispatch, logged bool) RestoreStats {
 	now := e.clock.Now()
 	e.mu.Lock()
@@ -195,19 +198,12 @@ func (e *Engine) RestoreRecord(d Dispatch, logged bool) RestoreStats {
 
 // restoreLocked is the shared replay step. Caller holds e.mu.
 func (e *Engine) restoreLocked(d Dispatch, logged bool, now time.Time, rs *RestoreStats) {
+	// A record the log already covers is the overlap of checkpoint and
+	// stale log after an interrupted compaction; the log stays as is.
 	if logged && d.Origin != "" && d.Seq > 0 {
-		l := e.logLocked(d.Origin)
-		switch hi := l.hi(); {
-		case d.Seq == hi+1:
-			l.recs = append(l.recs, d)
+		if l := e.logLocked(d.Origin); d.Seq > l.hi() {
+			l.admit(d, e.relay || d.Origin == e.name)
 			rs.Logged++
-		case d.Seq > hi+1:
-			l.recs = append([]Dispatch(nil), d)
-			l.dropped = d.Seq - 1
-			rs.Logged++
-		default:
-			// Already covered: checkpoint and stale log overlap after an
-			// interrupted compaction. Keep the log as is.
 		}
 	}
 	if !e.markSeenLocked(d) {

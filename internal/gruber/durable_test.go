@@ -71,7 +71,7 @@ func TestRestoreStateKeepsCompactedFloor(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.RecordDispatch(durableDispatch(i, clock.Now()))
 	}
-	e.CompactLocalBefore(4)
+	e.CompactOrigins(map[string]uint64{"dp-0": 4})
 	st := e.ExportState()
 	if len(st.Origins) != 1 || st.Origins[0].Floor != 4 || len(st.Origins[0].Records) != 0 {
 		t.Fatalf("exported origins = %+v", st.Origins)
@@ -106,7 +106,7 @@ func TestRestoreRecordReplay(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		live.RecordDispatch(durableDispatch(i, clock.Now()))
 	}
-	live.MergeRemote([]Dispatch{
+	live.MergeGossip("dp-2", []Dispatch{
 		{JobID: "merge-1", Site: "site-b", Owner: "cms", CPUs: 1, Runtime: time.Hour,
 			At: clock.Now(), Origin: "dp-2", Seq: 7},
 	})

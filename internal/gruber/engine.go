@@ -11,6 +11,14 @@
 // dispatches plus those reported by peer decision points. A dispatch is
 // assumed to occupy its CPUs for the job's declared runtime and expires
 // from the view afterwards.
+//
+// Every dispatch carries its origin decision point and a sequence number
+// in that origin's log, so one mechanism serves every dissemination
+// strategy: per-origin logs summarised by a version vector
+// (relaylog.go). A peer is sent the log records its acknowledged vector
+// lacks and merges them with MergeGossip; the paper's full mesh is the
+// special case where each origin pushes only its own log to every peer
+// and receivers keep just the remote origins' floors (SetRelay).
 package gruber
 
 import (
@@ -87,13 +95,20 @@ type Engine struct {
 	policies *usla.PolicySet
 	sites    map[string]*siteView
 	order    []string
-	seen     map[string]time.Time // JobID → expiry, for exchange dedup
+	// seen is the JobID → expiry dedup set behind snapshot imports,
+	// recovery replay and MergeGossip's origin-restart detection;
+	// seenAfterSweep is its size after the last expiry sweep.
+	seen           map[string]time.Time
+	seenAfterSweep int
 	// logs holds one dispatch log per origin decision point: this
-	// engine's own brokered dispatches (origin == name, backing the
-	// classic exchange cursor API) plus, under gossip dissemination,
-	// relayed third-party records (see relaylog.go). Each log is one
-	// contiguous run of sequence-numbered records.
-	logs  map[string]*originLog
+	// engine's own brokered dispatches (origin == name) plus one log per
+	// remote origin (see relaylog.go). Each log is one contiguous run of
+	// sequence-numbered records above a compaction floor.
+	logs map[string]*originLog
+	// relay selects whether remote-origin records are retained for
+	// onward relay (gossip) or only advance their origin's floor (the
+	// full mesh, where every origin pushes to every peer itself).
+	relay bool
 	stats EngineStats
 	// appender is the write-ahead hook (see SetAppender in durable.go):
 	// called under e.mu for every dispatch record entering dynamic
@@ -150,7 +165,19 @@ func NewEngine(name string, policies *usla.PolicySet, clock vtime.Clock) *Engine
 		sites:    make(map[string]*siteView),
 		seen:     make(map[string]time.Time),
 		logs:     make(map[string]*originLog),
+		relay:    true,
 	}
+}
+
+// SetRelay selects whether MergeGossip (and recovery replay) retains
+// remote-origin records in their logs, so they can be relayed to peers
+// that lack them (on, the default), or keeps only each remote origin's
+// version-vector floor (off). Set it at wiring time, before the engine
+// takes records.
+func (e *Engine) SetRelay(on bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.relay = on
 }
 
 // Name returns the engine's identity.
@@ -291,7 +318,7 @@ func (e *Engine) RecordDispatchCtx(ctx trace.SpanContext, d Dispatch) {
 }
 
 // RecordDispatch folds a locally-brokered dispatch into the view and the
-// exchange log. The engine stamps itself as Origin and assigns the
+// own dispatch log. The engine stamps itself as Origin and assigns the
 // record's sequence number in its own dispatch log.
 func (e *Engine) RecordDispatch(d Dispatch) {
 	d.Origin = e.name
@@ -311,51 +338,20 @@ func (e *Engine) RecordDispatch(d Dispatch) {
 	}
 }
 
-// MergeRemoteCtx is MergeRemote recorded as an engine.merge span under
-// the given trace context.
-func (e *Engine) MergeRemoteCtx(ctx trace.SpanContext, dispatches []Dispatch) int {
-	sp := e.getTracer().StartSpan(ctx, trace.PhaseEngineMerge)
-	n := e.MergeRemote(dispatches)
-	sp.End()
-	return n
-}
+// seenSweepFloor is the dedup-set size below which markSeenLocked never
+// sweeps expired JobIDs.
+const seenSweepFloor = 100000
 
-// MergeRemote folds dispatches received from a peer decision point into
-// the view. Duplicates (already seen JobIDs) are ignored, making the
-// flooding exchange idempotent.
-func (e *Engine) MergeRemote(dispatches []Dispatch) int {
-	now := e.clock.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	merged := 0
-	for _, d := range dispatches {
-		if d.Origin == e.name {
-			continue // our own records echoed back
-		}
-		if !e.markSeenLocked(d) {
-			continue
-		}
-		e.appendLocked(d, false)
-		e.stats.RemoteDispatches++
-		if d.Expired(now) {
-			continue // stale news: job already assumed finished
-		}
-		if sv, ok := e.sites[d.Site]; ok {
-			sv.applyLocked(d)
-			merged++
-		}
-	}
-	return merged
-}
-
-// markSeenLocked registers a JobID, pruning the dedup set opportunistically.
-// It returns false for duplicates. Caller holds e.mu.
+// markSeenLocked registers a JobID, returning false for duplicates.
+// Expired JobIDs are swept once the set has doubled since the last sweep
+// (and holds more than seenSweepFloor), so each insert pays amortised
+// O(1) for the sweep however many jobs are in flight. Caller holds e.mu.
 func (e *Engine) markSeenLocked(d Dispatch) bool {
 	if _, dup := e.seen[d.JobID]; dup {
 		e.stats.DuplicateIgnored++
 		return false
 	}
-	if len(e.seen) > 100000 {
+	if n := len(e.seen); n > seenSweepFloor && n >= 2*e.seenAfterSweep {
 		now := e.clock.Now()
 		//lint:allow mapiter -- expiry sweep deletes a fixed set of keys; order cannot matter
 		for id, exp := range e.seen {
@@ -363,36 +359,19 @@ func (e *Engine) markSeenLocked(d Dispatch) bool {
 				delete(e.seen, id)
 			}
 		}
+		e.seenAfterSweep = len(e.seen)
 	}
 	e.seen[d.JobID] = d.At.Add(d.Runtime)
 	return true
 }
 
-// LocalDispatchesAfter returns this engine's own dispatches recorded
-// after the given sequence cursor, plus the cursor covering everything
-// returned — the payload of one exchange round. Sequence numbers are
-// assigned under the engine lock at append time, so the cursor cannot
-// skip a record whose timestamp was stamped early but whose append lost
-// a race (which a wall-clock cursor does).
-func (e *Engine) LocalDispatchesAfter(cursor uint64) ([]Dispatch, uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	l := e.logs[e.name]
-	if l == nil {
-		return make([]Dispatch, 0), 0
-	}
-	recs := l.after(cursor)
-	out := make([]Dispatch, len(recs))
-	copy(out, recs)
-	return out, l.hi()
-}
-
 // LocalSeqHighWater returns the sequence number of the newest local
 // dispatch record (0 when none has ever been recorded). A peer whose
-// exchange cursor has reached this value holds everything this engine
-// ever observed locally — the completeness proof a draining decision
-// point needs before it may stop: its final flush is done only when
-// every peer's acknowledged cursor is at or past this mark.
+// acknowledged version vector has reached this value for this engine's
+// origin holds everything this engine ever brokered — half of the
+// completeness proof a draining decision point needs before it may stop
+// (the other half: records the own log no longer holds were acknowledged
+// by every peer or expired, see CompactOrigins).
 func (e *Engine) LocalSeqHighWater() uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -401,18 +380,6 @@ func (e *Engine) LocalSeqHighWater() uint64 {
 		return 0
 	}
 	return l.hi()
-}
-
-// CompactLocalBefore drops local dispatch records with sequence numbers
-// at or below cursor, bounding memory across long runs. Callers pass the
-// lowest cursor acknowledged by any peer: those records are never needed
-// again.
-func (e *Engine) CompactLocalBefore(cursor uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if l := e.logs[e.name]; l != nil {
-		l.dropThrough(cursor)
-	}
 }
 
 // Stats returns a copy of the engine counters.

@@ -93,51 +93,40 @@ func TestEstimateClamped(t *testing.T) {
 	}
 }
 
-func TestMergeRemoteAndDedup(t *testing.T) {
+func TestMergeGossipAndDedup(t *testing.T) {
 	clock := vtime.NewManual(epoch)
 	e := newEngine(clock, "")
 	e.UpdateSites(statuses(50), clock.Now())
-	d := Dispatch{JobID: "r1", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Hour, At: clock.Now(), Origin: "dp-1"}
-	if n := e.MergeRemote([]Dispatch{d}); n != 1 {
-		t.Fatalf("merged %d, want 1", n)
+	d := Dispatch{JobID: "r1", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Hour, At: clock.Now(), Origin: "dp-1", Seq: 1}
+	if st := e.MergeGossip("dp-1", []Dispatch{d}); st.Applied != 1 {
+		t.Fatalf("merge = %+v, want 1 applied", st)
 	}
 	if got := e.EstFreeCPUs("site-000"); got != 45 {
 		t.Fatalf("est = %d, want 45", got)
 	}
-	// Re-flooding the same record changes nothing.
-	if n := e.MergeRemote([]Dispatch{d}); n != 0 {
-		t.Fatalf("duplicate merged %d, want 0", n)
+	// Retransmitting the same record changes nothing.
+	if st := e.MergeGossip("dp-1", []Dispatch{d}); st.Applied != 0 || st.Duplicates != 1 {
+		t.Fatalf("duplicate merge = %+v, want 0 applied, 1 duplicate", st)
 	}
 	if got := e.EstFreeCPUs("site-000"); got != 45 {
 		t.Fatalf("est after dup = %d, want 45", got)
 	}
-	if e.Stats().DuplicateIgnored == 0 {
-		t.Fatal("dedup not counted")
-	}
 }
 
-func TestMergeRemoteIgnoresOwnEcho(t *testing.T) {
+func TestMergeGossipSkipsExpired(t *testing.T) {
 	clock := vtime.NewManual(epoch)
 	e := newEngine(clock, "")
 	e.UpdateSites(statuses(50), clock.Now())
-	d := Dispatch{JobID: "x", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Hour, At: clock.Now(), Origin: "dp-0"}
-	if n := e.MergeRemote([]Dispatch{d}); n != 0 {
-		t.Fatal("engine merged its own echoed dispatch")
+	old := Dispatch{JobID: "old", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Minute, At: clock.Now().Add(-time.Hour), Origin: "dp-1", Seq: 1}
+	if st := e.MergeGossip("dp-1", []Dispatch{old}); st.Stored != 1 || st.Applied != 0 {
+		t.Fatalf("merge = %+v, want 1 stored, 0 applied", st)
 	}
-}
-
-func TestMergeRemoteSkipsExpired(t *testing.T) {
-	clock := vtime.NewManual(epoch)
-	e := newEngine(clock, "")
-	e.UpdateSites(statuses(50), clock.Now())
-	old := Dispatch{JobID: "old", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Minute, At: clock.Now().Add(-time.Hour), Origin: "dp-1"}
-	e.MergeRemote([]Dispatch{old})
 	if got := e.EstFreeCPUs("site-000"); got != 50 {
 		t.Fatalf("expired remote dispatch applied: est = %d", got)
 	}
 }
 
-func TestLocalDispatchesAfter(t *testing.T) {
+func TestDispatchesSinceOwnLogAcrossCompaction(t *testing.T) {
 	clock := vtime.NewManual(epoch)
 	e := newEngine(clock, "")
 	e.UpdateSites(statuses(100), clock.Now())
@@ -145,28 +134,29 @@ func TestLocalDispatchesAfter(t *testing.T) {
 		clock.Advance(time.Minute)
 		e.RecordDispatch(Dispatch{JobID: fmt.Sprintf("j%d", i), Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})
 	}
-	all, hi := e.LocalDispatchesAfter(0)
-	if len(all) != 5 || hi != 5 {
-		t.Fatalf("after 0: %d records hi=%d, want 5 records hi=5", len(all), hi)
+	since := func(cursor uint64) []Dispatch {
+		return e.DispatchesSince(map[string]uint64{e.Name(): cursor}, 0)
 	}
-	got, hi2 := e.LocalDispatchesAfter(3)
-	if len(got) != 2 || got[0].JobID != "j3" || hi2 != 5 {
-		t.Fatalf("after 3: %d records first=%v hi=%d, want 2/j3/5", len(got), got, hi2)
+	if all := since(0); len(all) != 5 || e.LocalSeqHighWater() != 5 {
+		t.Fatalf("after 0: %d records hi=%d, want 5 records hi=5", len(all), e.LocalSeqHighWater())
 	}
-	if rest, _ := e.LocalDispatchesAfter(99); len(rest) != 0 {
+	if got := since(3); len(got) != 2 || got[0].JobID != "j3" {
+		t.Fatalf("after 3: %d records first=%v, want 2/j3", len(got), got)
+	}
+	if rest := since(99); len(rest) != 0 {
 		t.Fatalf("cursor past end returned %d records", len(rest))
 	}
 
-	e.CompactLocalBefore(3)
-	if rest, hi3 := e.LocalDispatchesAfter(0); len(rest) != 2 || hi3 != 5 {
-		t.Fatalf("after compact: %d records hi=%d, want 2 records hi=5", len(rest), hi3)
+	e.CompactOrigins(map[string]uint64{e.Name(): 3})
+	if rest := since(0); len(rest) != 2 || e.LocalSeqHighWater() != 5 {
+		t.Fatalf("after compact: %d records hi=%d, want 2 records hi=5", len(rest), e.LocalSeqHighWater())
 	}
 	// Sequence numbers survive compaction: cursor 4 still means "j4 only".
-	if rest, _ := e.LocalDispatchesAfter(4); len(rest) != 1 || rest[0].JobID != "j4" {
+	if rest := since(4); len(rest) != 1 || rest[0].JobID != "j4" {
 		t.Fatalf("after compact, cursor 4: %v", rest)
 	}
-	e.CompactLocalBefore(2) // stale cursor: must be a no-op
-	if rest, _ := e.LocalDispatchesAfter(0); len(rest) != 2 {
+	e.CompactOrigins(map[string]uint64{e.Name(): 2}) // stale cursor: must be a no-op
+	if rest := since(0); len(rest) != 2 {
 		t.Fatalf("stale compact changed log: %d records", len(rest))
 	}
 }
@@ -234,7 +224,7 @@ func TestEngineConcurrency(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		e.SiteLoads(usla.MustParsePath("atlas"), 1)
-		e.MergeRemote([]Dispatch{{JobID: fmt.Sprintf("b%d", i), Site: "site-002", Owner: "cms", CPUs: 1, Runtime: time.Hour, At: clock.Now(), Origin: "dp-9"}})
+		e.MergeGossip("dp-9", []Dispatch{{JobID: fmt.Sprintf("b%d", i), Site: "site-002", Owner: "cms", CPUs: 1, Runtime: time.Hour, At: clock.Now(), Origin: "dp-9", Seq: uint64(i + 1)}})
 	}
 	<-done
 	if got := e.EstFreeCPUs("site-001"); got != 0 {

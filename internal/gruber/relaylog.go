@@ -6,18 +6,24 @@ import (
 	"digruber/internal/trace"
 )
 
-// This file generalizes the engine's dispatch log from "my own records,
-// one cursor per peer" (the flooding exchange of exchangeNow) to one log
-// per origin decision point — the state gossip dissemination needs. The
-// flooding exchange only ever ships records the sender brokered itself,
-// so a full mesh is required for every record to reach every point. A
-// gossip round instead ships anything the receiver's version vector says
-// it lacks, own or relayed, so news crosses the fleet in O(log N) hops
-// over a sparse graph. The version vector (origin → highest contiguous
-// sequence number held) replaces per-peer cursors: it is what a digest
-// advertises, what a push is diffed against, and what compaction is
-// generalized over (the per-origin minimum acknowledged across the
-// membership view, plus expiry).
+// This file holds the engine's dispatch logs: one per origin decision
+// point, each a contiguous run of sequence-numbered records above a
+// compaction floor. The version vector (origin → highest sequence number
+// held) is what a peer acknowledges, what a push is diffed against, and
+// what compaction is computed over. Both dissemination shapes run on it:
+//
+//   - The paper's full mesh: every round an origin pushes its own records
+//     to every peer, so receivers need nothing but each remote origin's
+//     floor (relay off; MergeGossip advances the floor and applies the
+//     record to the site views).
+//   - Gossip: a round reaches a sample of peers and ships anything the
+//     receiver's vector lacks, own or relayed, so receivers retain remote
+//     records to forward them (relay on) and news crosses the fleet in
+//     O(log N) hops over a sparse graph.
+//
+// One compaction rule bounds every log, the own log included: records
+// acknowledged across the caller's whole peer set are dropped, and so is
+// any expired prefix (see CompactOrigins).
 
 // originLog is one origin's dispatch records as a contiguous run:
 // recs[i] carries sequence number dropped+i+1, and everything at or
@@ -52,6 +58,21 @@ func (l *originLog) after(cursor uint64) []Dispatch {
 		start = uint64(len(l.recs))
 	}
 	return l.recs[start:]
+}
+
+// admit extends the log with d, whose sequence number lies above hi:
+// appended when it is the next one, otherwise the run restarts at d (the
+// records in between were compacted away before this engine saw them).
+// Without retain only the floor advances.
+func (l *originLog) admit(d Dispatch, retain bool) {
+	switch {
+	case !retain:
+		l.recs, l.dropped = nil, d.Seq
+	case d.Seq == l.hi()+1:
+		l.recs = append(l.recs, d)
+	default:
+		l.recs, l.dropped = append([]Dispatch(nil), d), d.Seq-1
+	}
 }
 
 // dropThrough compacts records with sequence numbers at or below cursor.
@@ -125,8 +146,9 @@ func (e *Engine) DispatchesSince(vv map[string]uint64, maxRecords int) []Dispatc
 
 // GossipMergeStats describes one MergeGossip call.
 type GossipMergeStats struct {
-	// Stored counts records appended to a per-origin log (and therefore
-	// relayable onward).
+	// Stored counts records admitted to their origin's log: retained
+	// for relay when the engine relays, otherwise advancing the origin's
+	// floor.
 	Stored int
 	// Relayed counts stored records whose origin is neither this engine
 	// nor the sending peer — third-party news the mesh forwarded, the
@@ -136,7 +158,7 @@ type GossipMergeStats struct {
 	// previously unseen JobIDs against known sites).
 	Applied int
 	// Duplicates counts records the version vector already covered —
-	// gossip's redundancy cost.
+	// gossip's redundancy cost, and a retransmission's.
 	Duplicates int
 	// Resets counts origin-log resets forced by sequence regressions (an
 	// origin crashed, lost its log, and renumbered from 1).
@@ -152,11 +174,12 @@ func (e *Engine) MergeGossipCtx(ctx trace.SpanContext, from string, records []Di
 	return st
 }
 
-// MergeGossip folds gossip-delivered dispatch records into the
-// per-origin logs and the site views. from names the sending peer (only
-// for the Relayed count). Records must carry Origin and Seq; unstamped
-// records (a pre-gossip peer) and echoes of this engine's own records
-// are ignored — the own log is the numbering authority.
+// MergeGossip folds dispatch records a peer sent into the per-origin
+// logs and the site views. from names the sending peer (only for the
+// Relayed count). Records must carry Origin and Seq; unstamped records
+// and echoes of this engine's own records are ignored — the own log is
+// the numbering authority. With relay off (SetRelay) a remote origin's
+// log keeps only its floor, which is all a full-mesh receiver needs.
 //
 // Within an origin the sequence run must stay contiguous, which three
 // cases can break:
@@ -164,11 +187,11 @@ func (e *Engine) MergeGossipCtx(ctx trace.SpanContext, from string, records []Di
 //   - Seq above hi+1: the sender compacted records below its floor before
 //     this engine ever saw them. Fast-forward — reset the log's floor to
 //     the incoming record. The skipped records were acknowledged across
-//     the sender's whole view or expired, so their loss is the bounded
-//     staleness gossip already accepts (and their effect on this view,
-//     if any, arrived when they were applied).
+//     the sender's whole peer set or expired, so their loss is the
+//     bounded staleness dissemination already accepts (and their effect
+//     on this view, if any, arrived when they were applied).
 //   - Seq at or below hi with a seen JobID: a plain duplicate (two gossip
-//     paths delivered the same record).
+//     paths, or a retransmission after a lost reply, delivered it again).
 //   - Seq at or below hi with an unseen JobID: the origin restarted and
 //     renumbered from 1 (sequence reuse). Reset the log to the new
 //     incarnation so its fresh records flow again; late old-incarnation
@@ -184,21 +207,15 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 			continue
 		}
 		l := e.logLocked(d.Origin)
-		switch hi := l.hi(); {
-		case d.Seq == hi+1:
-			l.recs = append(l.recs, d)
-		case d.Seq > hi+1:
-			l.recs = append([]Dispatch(nil), d)
-			l.dropped = d.Seq - 1
-		default:
+		if d.Seq <= l.hi() {
 			if _, dup := e.seen[d.JobID]; dup {
 				st.Duplicates++
 				continue
 			}
-			l.recs = append([]Dispatch(nil), d)
-			l.dropped = d.Seq - 1
+			l.recs, l.dropped = nil, d.Seq-1
 			st.Resets++
 		}
+		l.admit(d, e.relay)
 		st.Stored++
 		e.appendLocked(d, true)
 		if d.Origin != from {
@@ -219,13 +236,13 @@ func (e *Engine) MergeGossip(from string, records []Dispatch) GossipMergeStats {
 	return st
 }
 
-// CompactOrigins bounds the per-origin logs: for every origin, records
-// acknowledged across the caller's whole membership view
-// (seq ≤ acked[origin]) are dropped, and relayed logs also shed any
-// expired prefix — an expired dispatch no longer affects anyone's view,
-// so relaying it is pointless. The engine's own log is compacted by
-// acknowledgment only, never by expiry: Drain's verified flush promises
-// peers every own record up to the high-water mark. Log entries survive
+// CompactOrigins bounds the per-origin logs, the engine's own included:
+// for every origin, records acknowledged across the caller's whole peer
+// set (seq ≤ acked[origin]) are dropped, and so is any expired prefix —
+// an expired dispatch no longer affects anyone's view, so shipping it is
+// pointless. Expiry is what keeps a dead peer that was never removed
+// from pinning the own log forever; a peer that comes back is
+// fast-forwarded over the gap (see MergeGossip). Log entries survive
 // emptying so the version vector keeps its floor.
 func (e *Engine) CompactOrigins(acked map[string]uint64) {
 	now := e.clock.Now()
@@ -234,9 +251,6 @@ func (e *Engine) CompactOrigins(acked map[string]uint64) {
 	//lint:allow mapiter -- per-origin front-drop with no cross-origin reads; order cannot matter
 	for origin, l := range e.logs {
 		l.dropThrough(acked[origin])
-		if origin == e.name {
-			continue
-		}
 		n := 0
 		for n < len(l.recs) && l.recs[n].Expired(now) {
 			n++

@@ -30,9 +30,9 @@ func TestRecordDispatchStampsSequence(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.RecordDispatch(Dispatch{JobID: fmt.Sprintf("j-%d", i), Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})
 	}
-	batch, hi := e.LocalDispatchesAfter(0)
+	batch, hi := e.DispatchesSince(nil, 0), e.LocalSeqHighWater()
 	if hi != 3 || len(batch) != 3 {
-		t.Fatalf("LocalDispatchesAfter(0) = %d records, hi %d; want 3, 3", len(batch), hi)
+		t.Fatalf("DispatchesSince(nil) = %d records, hi %d; want 3, 3", len(batch), hi)
 	}
 	for i, d := range batch {
 		if d.Seq != uint64(i+1) {
@@ -188,15 +188,15 @@ func TestCompactOriginsAckAndExpiry(t *testing.T) {
 		t.Fatalf("OriginVector = %v; want both at 4", vv)
 	}
 
-	// Expiry compaction drains relayed logs but never the engine's own
-	// (Drain's verified flush promises peers the full own log).
+	// Expiry compaction drains every log, the engine's own included: a
+	// peer that never acknowledges must not pin records nobody needs.
 	clock.Advance(45 * time.Minute)
 	e.CompactOrigins(nil)
 	if n := e.OriginLogSize("dp-a"); n != 0 {
 		t.Fatalf("dp-a log holds %d expired records; want 0", n)
 	}
-	if n := e.OriginLogSize(e.Name()); n != 2 {
-		t.Fatalf("own log holds %d records; want 2 (expiry must not touch it)", n)
+	if n := e.OriginLogSize(e.Name()); n != 0 {
+		t.Fatalf("own log holds %d expired records; want 0", n)
 	}
 	// A fully-compacted log contributes nothing, however far back the
 	// peer's cursor sits — the digest alone fast-forwards it.
@@ -220,7 +220,107 @@ func TestDropDynamicStateResetsLogs(t *testing.T) {
 	}
 	// Renumbering restarts from 1.
 	e.RecordDispatch(Dispatch{JobID: "j-1", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})
-	if batch, hi := e.LocalDispatchesAfter(0); hi != 1 || len(batch) != 1 || batch[0].Seq != 1 {
+	if batch, hi := e.DispatchesSince(nil, 0), e.LocalSeqHighWater(); hi != 1 || len(batch) != 1 || batch[0].Seq != 1 {
 		t.Fatalf("after restart: batch %+v hi %d; want one record with Seq 1", batch, hi)
+	}
+}
+
+// TestMergeGossipWithoutRelayKeepsOnlyFloor: with relay off (the full
+// mesh) a remote record reaches the view and advances its origin's
+// floor, but no record is retained, so nothing is ever shipped onward;
+// duplicates, gaps and origin restarts are still told apart, and a
+// write-ahead replay rebuilds the same floor.
+func TestMergeGossipWithoutRelayKeepsOnlyFloor(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	e := newEngine(clock, "")
+	e.SetRelay(false)
+	e.UpdateSites(statuses(100), epoch)
+	var wal []Dispatch
+	e.SetAppender(func(d Dispatch, logged bool) {
+		if !logged {
+			t.Errorf("record %s appended unlogged", d.JobID)
+		}
+		wal = append(wal, d)
+	})
+
+	st := e.MergeGossip("dp-a", []Dispatch{
+		disp("dp-a", 1, "site-000", clock.Now()),
+		disp("dp-a", 2, "site-000", clock.Now()),
+	})
+	if st.Stored != 2 || st.Applied != 2 {
+		t.Fatalf("merge = %+v; want 2 stored, 2 applied", st)
+	}
+	if n := e.OriginLogSize("dp-a"); n != 0 {
+		t.Fatalf("dp-a log retains %d records; want 0", n)
+	}
+	if vv := e.OriginVector(); vv["dp-a"] != 2 {
+		t.Fatalf("OriginVector[dp-a] = %d; want 2", vv["dp-a"])
+	}
+	if out := e.DispatchesSince(nil, 0); len(out) != 0 {
+		t.Fatalf("DispatchesSince(nil) = %+v; want nothing to relay", out)
+	}
+	if got := e.EstFreeCPUs("site-000"); got != 96 {
+		t.Fatalf("est = %d; want 96", got)
+	}
+
+	// A retransmission is a duplicate; a gap fast-forwards.
+	if st := e.MergeGossip("dp-a", []Dispatch{disp("dp-a", 2, "site-000", clock.Now())}); st.Duplicates != 1 {
+		t.Fatalf("retransmit = %+v; want 1 duplicate", st)
+	}
+	e.MergeGossip("dp-a", []Dispatch{disp("dp-a", 6, "site-000", clock.Now())})
+	if vv := e.OriginVector(); vv["dp-a"] != 6 {
+		t.Fatalf("OriginVector[dp-a] = %d; want 6 (fast-forwarded)", vv["dp-a"])
+	}
+
+	r := newEngine(clock, "")
+	r.SetRelay(false)
+	r.UpdateSites(statuses(100), epoch)
+	for _, d := range wal {
+		r.RestoreRecord(d, true)
+	}
+	if got, want := r.OriginVector()["dp-a"], e.OriginVector()["dp-a"]; got != want {
+		t.Fatalf("replayed floor %d; want %d", got, want)
+	}
+	if n := r.OriginLogSize("dp-a"); n != 0 {
+		t.Fatalf("replay retained %d records; want 0", n)
+	}
+
+	// An origin restart renumbers from 1 with fresh JobIDs.
+	fresh := disp("dp-a", 1, "site-000", clock.Now())
+	fresh.JobID = "dp-a-incarnation2-1"
+	if st := e.MergeGossip("dp-a", []Dispatch{fresh}); st.Resets != 1 {
+		t.Fatalf("restart = %+v; want 1 reset", st)
+	}
+	if vv := e.OriginVector(); vv["dp-a"] != 1 {
+		t.Fatalf("OriginVector[dp-a] = %d; want 1 (new incarnation)", vv["dp-a"])
+	}
+}
+
+// TestSeenSweepIsAmortised: the dedup set sweeps expired JobIDs once it
+// passes the floor, and not again until it has doubled since — so an
+// engine with more live jobs than the floor does not rescan the whole
+// set on every insert.
+func TestSeenSweepIsAmortised(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	e := newEngine(clock, "")
+	e.UpdateSites(statuses(100), epoch)
+	for i := 0; i < seenSweepFloor; i++ {
+		e.seen[fmt.Sprintf("live-%d", i)] = epoch.Add(time.Hour)
+	}
+	e.seen["expired"] = epoch.Add(-time.Minute)
+	record := func(id string) {
+		e.RecordDispatch(Dispatch{JobID: id, Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: epoch})
+	}
+	record("j-0")
+	if _, ok := e.seen["expired"]; ok {
+		t.Fatal("set past the floor was not swept")
+	}
+	if e.seenAfterSweep != seenSweepFloor {
+		t.Fatalf("seenAfterSweep = %d; want %d", e.seenAfterSweep, seenSweepFloor)
+	}
+	e.seen["expired-2"] = epoch.Add(-time.Minute)
+	record("j-1")
+	if _, ok := e.seen["expired-2"]; !ok {
+		t.Fatal("set swept again before doubling")
 	}
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the anti-entropy side of the dissemination model. The
-// periodic exchange is incremental — each decision point floods only its
-// own new dispatches — so a decision point that crashes and loses its
-// dynamic state cannot catch up from the incremental stream alone: the
-// records it missed were "after" cursors it no longer holds. Snapshot
+// periodic rounds are incremental — each push carries only what the
+// receiver's acknowledged vector lacks — so a decision point that
+// crashes and loses its dynamic state cannot catch up from the
+// incremental stream alone: its peers believe it already holds the
+// records it lost, and compaction may have dropped them. Snapshot
 // export/import closes that gap: a rejoining point pulls one peer's full
 // unexpired view and is immediately as informed as that peer.
 
@@ -37,10 +38,10 @@ func (e *Engine) ExportSnapshot() []Dispatch {
 	return out
 }
 
-// ImportSnapshot folds a peer's full view into this engine. It differs
-// from MergeRemote in one deliberate way: records whose Origin is this
-// engine are NOT skipped — after a crash this engine has lost its own
-// brokering history too, and the snapshot is how it gets it back. Seen
+// ImportSnapshot folds a peer's full view into this engine. Unlike
+// MergeGossip it does NOT skip records whose Origin is this engine —
+// after a crash this engine has lost its own brokering history too, and
+// the snapshot is how it gets it back. Seen
 // JobIDs are still deduplicated, so importing on a healthy engine (or
 // importing two overlapping snapshots) is idempotent. Returns the number
 // of dispatches folded into site views.
@@ -61,13 +62,8 @@ func (e *Engine) ImportSnapshot(dispatches []Dispatch) int {
 			// in view order rather than sequence order; the fast-forward
 			// case still leaves hi at the snapshot's own-origin maximum.
 			logged = true
-			l := e.logLocked(e.name)
-			switch hi := l.hi(); {
-			case d.Seq == hi+1:
-				l.recs = append(l.recs, d)
-			case d.Seq > hi+1:
-				l.recs = append([]Dispatch(nil), d)
-				l.dropped = d.Seq - 1
+			if l := e.logLocked(e.name); d.Seq > l.hi() {
+				l.admit(d, true)
 			}
 		}
 		if !e.markSeenLocked(d) {
@@ -87,8 +83,8 @@ func (e *Engine) ImportSnapshot(dispatches []Dispatch) int {
 }
 
 // DropDynamicState models a crash: everything the engine learned from
-// scheduling decisions — pending dispatches, the dedup set, the local
-// exchange log and its sequence numbering — is discarded. The site
+// scheduling decisions — pending dispatches, the dedup set, the
+// per-origin logs and the own sequence numbering — is discarded. The site
 // baseline survives, standing in for the paper's "complete static
 // knowledge about available resources", which a restarting decision
 // point re-bootstraps from configuration rather than from peers.
@@ -104,6 +100,7 @@ func (e *Engine) DropDynamicState() {
 		sv.usageDelta = make(map[string]int)
 	}
 	e.seen = make(map[string]time.Time)
+	e.seenAfterSweep = 0
 	// Every per-origin log goes, the engine's own included: the sequence
 	// numbering restarts from 1 on the next dispatch, which peers detect
 	// as an origin restart (see MergeGossip's reset path).

@@ -16,9 +16,9 @@ func TestSnapshotRoundTripRestoresView(t *testing.T) {
 	// A mix of the donor's own records and ones it learned from peers —
 	// including some originally brokered by the engine that will crash.
 	donor.RecordDispatch(Dispatch{JobID: "d1", Site: "site-000", Owner: "atlas", CPUs: 10, Runtime: time.Hour, At: clock.Now()})
-	donor.MergeRemote([]Dispatch{
-		{JobID: "r1", Site: "site-001", Owner: "cms", CPUs: 20, Runtime: time.Hour, At: clock.Now(), Origin: "dp-1"},
-		{JobID: "r2", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Hour, At: clock.Now(), Origin: "dp-1"},
+	donor.MergeGossip("dp-1", []Dispatch{
+		{JobID: "r1", Site: "site-001", Owner: "cms", CPUs: 20, Runtime: time.Hour, At: clock.Now(), Origin: "dp-1", Seq: 1},
+		{JobID: "r2", Site: "site-000", Owner: "cms", CPUs: 5, Runtime: time.Hour, At: clock.Now(), Origin: "dp-1", Seq: 2},
 	})
 
 	crashed := NewEngine("dp-1", nil, clock)
@@ -92,12 +92,12 @@ func TestDropDynamicStateResetsExchangeLog(t *testing.T) {
 	e := newEngine(clock, "")
 	e.UpdateSites(statuses(100), clock.Now())
 	e.RecordDispatch(Dispatch{JobID: "j1", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})
-	if ds, cur := e.LocalDispatchesAfter(0); len(ds) != 1 || cur != 1 {
-		t.Fatalf("pre-crash log: %d records, cursor %d", len(ds), cur)
+	if n, hi := e.OriginLogSize(e.Name()), e.LocalSeqHighWater(); n != 1 || hi != 1 {
+		t.Fatalf("pre-crash log: %d records, high-water %d", n, hi)
 	}
 	e.DropDynamicState()
-	if ds, cur := e.LocalDispatchesAfter(0); len(ds) != 0 || cur != 0 {
-		t.Fatalf("post-crash log: %d records, cursor %d, want empty at 0", len(ds), cur)
+	if n, hi := e.OriginLogSize(e.Name()), e.LocalSeqHighWater(); n != 0 || hi != 0 {
+		t.Fatalf("post-crash log: %d records, high-water %d, want empty at 0", n, hi)
 	}
 	// The dedup set was wiped too: the same JobID can be re-learned.
 	e.RecordDispatch(Dispatch{JobID: "j1", Site: "site-000", Owner: "atlas", CPUs: 1, Runtime: time.Hour, At: clock.Now()})

@@ -103,7 +103,7 @@ func TestDispatchWireCompat(t *testing.T) {
 
 // TestDispatchCrossDecode: pre-gossip and current shapes interoperate in
 // both directions — an old peer's records decode with Seq zero
-// (unstamped, which MergeGossip ignores and MergeRemote accepts), and a
+// (unstamped, which MergeGossip ignores and snapshot import accepts), and a
 // stamped record sent to an old peer simply sheds its stamp.
 func TestDispatchCrossDecode(t *testing.T) {
 	// Old sender → new receiver: Seq stays zero.

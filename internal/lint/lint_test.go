@@ -171,7 +171,7 @@ func TestWireSchemaLockfile(t *testing.T) {
 		"digruber/internal/wire.frame",
 		"digruber/internal/digruber.StatusArgs",
 		"digruber/internal/digruber.StatusReply",
-		"digruber/internal/digruber.ExchangeArgs",
+		"digruber/internal/digruber.GossipArgs",
 		"digruber/internal/digruber.SnapshotReply",
 	} {
 		if locked.Structs[key] == nil {
