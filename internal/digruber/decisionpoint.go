@@ -281,16 +281,16 @@ func (dp *DecisionPoint) registerHandlers() {
 		}
 		dp.detector.ObserveArrival()
 		defer dp.observeHandle(dp.cfg.Clock.Now(), ctx.Span.Trace)
-		owner, err := usla.ParsePath(a.Owner)
+		owner, err := checkJob(a.Owner, a.CPUs)
 		if err != nil {
 			return QueryReply{}, err
-		}
-		if a.CPUs <= 0 {
-			return QueryReply{}, fmt.Errorf("digruber: query with %d CPUs", a.CPUs)
 		}
 		return QueryReply{Loads: dp.engine.SiteLoadsCtx(ctx.Span, owner, a.CPUs)}, nil
 	})
 	wire.HandleCtx(dp.server, MethodReport, func(ctx wire.Ctx, a ReportArgs) (ReportReply, error) {
+		if _, err := checkJob(a.Dispatch.Owner, a.Dispatch.CPUs, a.Dispatch.Runtime); err != nil {
+			return ReportReply{}, err
+		}
 		dp.engine.RecordDispatchCtx(ctx.Span, a.Dispatch)
 		return ReportReply{OK: true}, nil
 	})
@@ -363,12 +363,9 @@ func (dp *DecisionPoint) registerHandlers() {
 		}
 		dp.detector.ObserveArrival()
 		defer dp.observeHandle(dp.cfg.Clock.Now(), ctx.Span.Trace)
-		owner, err := usla.ParsePath(a.Owner)
+		owner, err := checkJob(a.Owner, a.CPUs, a.Runtime)
 		if err != nil {
 			return ScheduleReply{}, err
-		}
-		if a.CPUs <= 0 || a.Runtime <= 0 {
-			return ScheduleReply{}, fmt.Errorf("digruber: schedule with cpus=%d runtime=%s", a.CPUs, a.Runtime)
 		}
 		loads := dp.engine.SiteLoadsCtx(ctx.Span, owner, a.CPUs)
 		site, ok := (gruber.USLAAware{}).Select(loads, a.CPUs)
@@ -385,6 +382,27 @@ func (dp *DecisionPoint) registerHandlers() {
 		})
 		return ScheduleReply{Site: site, OK: true}, nil
 	})
+}
+
+// checkJob validates the job fields a client sends: the owner path must
+// parse, the job must ask for at least one CPU, and a declared runtime
+// (Schedule and Report carry one, Query does not) must be positive.
+// Engine state is only ever fed checked fields: a negative CPU count
+// would free capacity that no job released.
+func checkJob(owner string, cpus int, runtime ...time.Duration) (usla.Path, error) {
+	path, err := usla.ParsePath(owner)
+	if err != nil {
+		return usla.Path{}, err
+	}
+	if cpus <= 0 {
+		return usla.Path{}, fmt.Errorf("digruber: job asks for %d CPUs", cpus)
+	}
+	for _, r := range runtime {
+		if r <= 0 {
+			return usla.Path{}, fmt.Errorf("digruber: job declares runtime %s", r)
+		}
+	}
+	return path, nil
 }
 
 // markPeerAlive resets the health of the named peer after inbound proof
@@ -544,10 +562,10 @@ func (dp *DecisionPoint) peerNamesLocked() []string {
 	return names
 }
 
-// Start begins listening and, unless the strategy is NoExchange, starts
-// the periodic exchange loop. Start after Stop brings the decision point
-// back: wire servers and clients are single-use (Close is terminal), so a
-// restart builds fresh ones on the same name, node and address.
+// Start begins listening and starts the periodic exchange loop. Start
+// after Stop brings the decision point back: wire servers and clients
+// are single-use (Close is terminal), so a restart builds fresh ones on
+// the same name, node and address.
 func (dp *DecisionPoint) Start() error {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
@@ -583,10 +601,8 @@ func (dp *DecisionPoint) Start() error {
 		srv.Serve(l)
 		close(served)
 	}(dp.server, l, dp.serveDone)
-	if dp.cfg.Strategy != NoExchange {
-		dp.ticker = dp.cfg.Clock.NewTicker(dp.cfg.ExchangeInterval)
-		go dp.exchangeLoop(dp.ticker, dp.done)
-	}
+	dp.ticker = dp.cfg.Clock.NewTicker(dp.cfg.ExchangeInterval)
+	go dp.exchangeLoop(dp.ticker, dp.done)
 	return nil
 }
 
@@ -608,16 +624,12 @@ func (dp *DecisionPoint) exchangeLoop(ticker vtime.Ticker, done chan struct{}) {
 // directly.
 func (dp *DecisionPoint) ExchangeNow() int { return dp.syncNow(false) }
 
-// syncNow runs one synchronization round (none under NoExchange); force
-// contacts even dead peers whose probe backoff has not elapsed. The
-// drain flush uses it — a retiring point must get its last records out
-// (or fail trying) every retry, not sit out a probe interval against a
-// peer that just healed.
+// syncNow runs one synchronization round; force contacts even dead
+// peers whose probe backoff has not elapsed. The drain flush uses it — a
+// retiring point must get its last records out (or fail trying) every
+// retry, not sit out a probe interval against a peer that just healed.
 func (dp *DecisionPoint) syncNow(force bool) int {
-	var sent int
-	if dp.cfg.Strategy != NoExchange {
-		sent = dp.gossipNow(force)
-	}
+	sent := dp.gossipNow(force)
 	// The round boundary doubles as the durability checkpoint cadence
 	// check — deterministic under a Manual clock, unlike a timer.
 	dp.maybeCheckpoint()
@@ -635,7 +647,12 @@ func (dp *DecisionPoint) ExchangeRounds() int {
 // server and listener close, peer clients close, and the serve goroutine
 // is awaited so nothing of this incarnation outlives the call. Stop is
 // idempotent, and Start may be called again afterwards (restart).
-func (dp *DecisionPoint) Stop() {
+func (dp *DecisionPoint) Stop() { dp.stop(false) }
+
+// stop is Stop; graceful shuts the server down with wire.Server.Shutdown
+// rather than Close, so replies already counted out of its in-flight
+// work reach their callers. Drain's settle step relies on that.
+func (dp *DecisionPoint) stop(graceful bool) {
 	dp.mu.Lock()
 	if !dp.started {
 		dp.mu.Unlock()
@@ -662,7 +679,11 @@ func (dp *DecisionPoint) Stop() {
 	}
 	dp.mu.Unlock()
 
-	server.Close()
+	if graceful {
+		server.Shutdown()
+	} else {
+		server.Close()
+	}
 	if listener != nil {
 		listener.Close()
 	}

@@ -288,7 +288,7 @@ func TestNoExchangeStrategyKeepsViewsApart(t *testing.T) {
 	h := newHarnessStrategy(t, 2, clock, testStatuses(100), NoExchange)
 	c := h.client(0, 0, nil)
 	c.Schedule(testJob("j1"))
-	h.dps[0].ExchangeNow() // strategy is NoExchange: must be a no-op
+	h.dps[0].ExchangeNow() // strategy is NoExchange: the round has no targets
 	if st := h.dps[1].Engine().Stats(); st.RemoteDispatches != 0 {
 		t.Fatal("NoExchange still propagated dispatches")
 	}
@@ -325,6 +325,41 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := wire.Call[QueryArgs, QueryReply](cli, MethodQuery, QueryArgs{Owner: "atlas", CPUs: 0}, time.Second); err == nil {
 		t.Fatal("zero CPUs accepted")
+	}
+}
+
+// TestReportValidation: a Report is checked like a Schedule before it
+// reaches the engine. A negative CPU count would otherwise raise the
+// site's free-CPU estimate, as if a job had released capacity.
+func TestReportValidation(t *testing.T) {
+	clock := vtime.NewReal()
+	h := newHarness(t, 1, clock, testStatuses(60))
+	cli := wire.NewClient(wire.ClientConfig{
+		Node: "x", ServerNode: "dp-0", Addr: "dp-0", Transport: h.mem, Clock: clock,
+	})
+	defer cli.Close()
+	engine := h.dps[0].Engine()
+	before := engine.EstFreeCPUs("site-000")
+	for _, d := range []gruber.Dispatch{
+		{JobID: "neg", Site: "site-000", Owner: "atlas", CPUs: -50, Runtime: time.Hour},
+		{JobID: "zero", Site: "site-000", Owner: "atlas", CPUs: 0, Runtime: time.Hour},
+		{JobID: "norun", Site: "site-000", Owner: "atlas", CPUs: 1},
+		{JobID: "owner", Site: "site-000", Owner: "bad..path", CPUs: 1, Runtime: time.Hour},
+	} {
+		d.At = clock.Now()
+		if _, err := wire.Call[ReportArgs, ReportReply](cli, MethodReport, ReportArgs{Dispatch: d}, time.Second); err == nil {
+			t.Errorf("report %s (%+v) accepted", d.JobID, d)
+		}
+	}
+	if got := engine.EstFreeCPUs("site-000"); got != before {
+		t.Fatalf("rejected reports moved site-000's free CPUs %d -> %d", before, got)
+	}
+	ok := gruber.Dispatch{JobID: "ok", Site: "site-000", Owner: "atlas", CPUs: 2, Runtime: time.Hour, At: clock.Now()}
+	if _, err := wire.Call[ReportArgs, ReportReply](cli, MethodReport, ReportArgs{Dispatch: ok}, time.Second); err != nil {
+		t.Fatalf("valid report refused: %v", err)
+	}
+	if got := engine.EstFreeCPUs("site-000"); got != before-2 {
+		t.Fatalf("valid report: site-000 free CPUs %d, want %d", got, before-2)
 	}
 }
 

@@ -184,15 +184,6 @@ func decodeEngineState(payload []byte) (gruber.EngineState, error) {
 	return st, err
 }
 
-// addRestore accumulates engine replay counts (gruber keeps its adder
-// unexported; the fields are the contract).
-func addRestore(dst *gruber.RestoreStats, o gruber.RestoreStats) {
-	dst.Logged += o.Logged
-	dst.Applied += o.Applied
-	dst.Expired += o.Expired
-	dst.Duplicates += o.Duplicates
-}
-
 // recoverLocked replays the durability store into the engine. Called
 // from Start (which holds dp.mu) before the listener opens, so the
 // decision point never serves un-recovered state. No-op unless a
@@ -227,7 +218,7 @@ func (dp *DecisionPoint) recoverLocked() error {
 			// lean on the log plus peer backfill.
 			rs.CheckpointCorrupt = true
 		} else {
-			addRestore(&rs.Restore, dp.engine.RestoreState(st))
+			rs.Restore.Add(dp.engine.RestoreState(st))
 			rs.CheckpointRestored = true
 		}
 	}
@@ -243,7 +234,7 @@ func (dp *DecisionPoint) recoverLocked() error {
 			}
 			break
 		}
-		addRestore(&rs.Restore, dp.engine.RestoreRecord(en.D, en.Logged))
+		rs.Restore.Add(dp.engine.RestoreRecord(en.D, en.Logged))
 		rs.Recovered++
 	}
 	if err := dur.checkpointNow(dp.engine, dp.cfg.Clock.Now()); err != nil {

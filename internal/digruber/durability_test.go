@@ -126,6 +126,53 @@ func TestDurableCheckpointCompacts(t *testing.T) {
 	}
 }
 
+// TestNoExchangeRoundCompactsAndCheckpoints: NoExchange runs the same
+// interval-driven round with no targets. Once the jobs' runtime and an
+// interval have passed, the own log has drained by expiry (the peer
+// never acknowledges) and the write-ahead log has been checkpointed,
+// while the peer has still received nothing.
+func TestNoExchangeRoundCompactsAndCheckpoints(t *testing.T) {
+	clock := vtime.NewManual(epoch)
+	mem := wire.NewMem()
+	mk := func(name string, dur *DurabilityConfig) *DecisionPoint {
+		dp, err := New(Config{
+			Name: name, Addr: name, Transport: mem, Clock: clock,
+			Profile: wire.Instant(), Strategy: NoExchange,
+			ExchangeInterval: time.Hour, Durability: dur,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp.Engine().UpdateSites(testStatuses(100, 100), clock.Now())
+		return dp
+	}
+	dp := mk("dp-0", &DurabilityConfig{Store: wal.NewMemStore(), CheckpointEvery: 1})
+	peer := mk("dp-1", nil)
+	dp.AddPeer(peer.Name(), peer.Name(), peer.Addr())
+	peer.AddPeer(dp.Name(), dp.Name(), dp.Addr())
+	for _, p := range []*DecisionPoint{dp, peer} {
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+	}
+	for i := 0; i < 3; i++ {
+		d := durTestDispatch(i, clock.Now())
+		d.Runtime = 90 * time.Minute
+		dp.Engine().RecordDispatch(d)
+	}
+
+	// Ticks fire at 1h, 2h and 3h. Whichever rounds they trigger, at
+	// least one starts at 2h or later, past the 90-minute runtimes.
+	clock.Advance(3 * time.Hour)
+	waitFor(t, func() bool {
+		return dp.Engine().OriginLogSize("dp-0") == 0 && dp.WALStats().Checkpoints >= 1
+	})
+	if got := peer.Engine().Stats().RemoteDispatches; got != 0 {
+		t.Fatalf("peer holds %d remote dispatches under NoExchange, want 0", got)
+	}
+}
+
 // TestDurableTornWriteTruncatesAndBackfills: a torn tail write (the
 // classic crash-mid-append) truncates at the damaged record, and the
 // restart's vector-filtered snapshot pulls exactly the seq-gap from a

@@ -9,7 +9,7 @@ import (
 	"digruber/internal/wire"
 )
 
-// One round engine serves every disseminating strategy (strategy.go).
+// One round engine serves every strategy (strategy.go).
 // A round sends each contacted peer the dispatch records its
 // last-acknowledged version vector lacks and takes the peer's reply
 // digest as the new acknowledgment; compaction then drops what every
@@ -31,6 +31,8 @@ import (
 //     (gruber.MergeGossip), so a sparse sampled graph still converges —
 //     in O(log N) rounds with high probability — while per-point traffic
 //     tracks the fanout, not the fleet size.
+//   - NoExchange: no round at all, only its compaction; no peer ever
+//     acknowledges, so the own log drains by expiry.
 
 // GossipConfig tunes the Gossip dissemination strategy; zero values get
 // defaults from the gossip package.
@@ -68,8 +70,13 @@ func (dp *DecisionPoint) selfMember() gossip.Member {
 // gossipNow runs one round: pick the targets, push to each
 // concurrently, merge the replies, then advance the compaction floor.
 // force (the drain flush) contacts every known peer and ignores probe
-// backoff. Returns the number of records pushed.
+// backoff. Returns the number of records pushed. Under NoExchange it
+// only compacts: nothing is sent, traced, timed or counted as a round.
 func (dp *DecisionPoint) gossipNow(force bool) int {
+	if dp.cfg.Strategy == NoExchange {
+		dp.compact()
+		return 0
+	}
 	mesh := dp.cfg.Strategy != Gossip
 	now := dp.cfg.Clock.Now()
 	dp.mu.Lock()
@@ -188,22 +195,29 @@ func (dp *DecisionPoint) gossipNow(force bool) int {
 	end := dp.cfg.Clock.Now()
 	dp.metrics.roundDur.Observe(end.Sub(now).Seconds())
 
-	// Compaction floor: for every origin this engine holds, the minimum
-	// sequence acknowledged across every peer — everything, with no
-	// peers at all. A peer never heard from has a nil vector and pins
-	// every origin at zero until its records expire; departed peers
-	// should still be removed (RemovePeer) rather than waited out.
-	acked := dp.engine.OriginVector()
 	dp.mu.Lock()
 	dp.rounds++
 	dp.sentRecs += sent
 	dp.lastRound = end
+	dp.mu.Unlock()
+	dp.compact()
+	return sent
+}
+
+// compact advances the compaction floor: for every origin this engine
+// holds, the minimum sequence acknowledged across every peer —
+// everything, with no peers at all. A peer never heard from has a nil
+// vector and pins every origin at zero until its records expire;
+// departed peers should still be removed (RemovePeer) rather than
+// waited out.
+func (dp *DecisionPoint) compact() {
+	acked := dp.engine.OriginVector()
+	dp.mu.Lock()
 	for _, name := range dp.peerNamesLocked() {
 		gossip.MinAcked(acked, dp.peers[name].ackVV)
 	}
 	dp.mu.Unlock()
 	dp.engine.CompactOrigins(acked)
-	return sent
 }
 
 // handleGossip serves one inbound exchange: merge the push, fold any

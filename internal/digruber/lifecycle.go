@@ -70,12 +70,17 @@ func drainPoll(timeout time.Duration) time.Duration {
 //  1. Enter the Draining state: Query/Schedule refuse with ErrDraining
 //     (clients fail over), Status advertises StateDraining.
 //  2. Settle: wait for the service stack's in-flight and queued work to
-//     reach zero, so nothing accepted is abandoned.
+//     reach zero, so nothing accepted is abandoned. The server settles
+//     its counters before a reply is written, so zero in-flight means
+//     every dequeued request's handler has returned: every dispatch a
+//     caller was (or is about to be) acknowledged for is in the engine,
+//     and the flush carries it. A reply may still be on its way out;
+//     the stop in step 4 lets it finish (wire.Server.Shutdown).
 //  3. Final flush: run rounds (force-probing even dead peers) until
 //     every peer has acknowledged every own record it is still owed —
 //     verified against each peer's acknowledged version vector, not
 //     assumed from one successful round.
-//  4. Stop.
+//  4. Stop, letting replies still being written reach their callers.
 //
 // If settling or flushing exceeds the budget — in-flight work wedged, or
 // a partition keeping a peer from acknowledging — the drain aborts back
@@ -134,7 +139,7 @@ func (dp *DecisionPoint) Drain(timeout time.Duration) error {
 		dp.cfg.Clock.Sleep(poll)
 	}
 
-	dp.Stop()
+	dp.stop(true)
 	dp.metrics.retired.Inc()
 	return nil
 }

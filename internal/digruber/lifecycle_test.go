@@ -3,6 +3,7 @@ package digruber
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,5 +227,99 @@ func TestStatusStateOverWire(t *testing.T) {
 	}
 	if st.State != "" {
 		t.Fatalf("serving State = %q, want empty", st.State)
+	}
+}
+
+// holdTransport is a Mem transport whose listeners hold the first
+// write a server makes on an accepted connection — a reply on its way
+// out — until release is closed, announcing it on writing.
+type holdTransport struct {
+	*wire.Mem
+	writing, release chan struct{}
+	once             *sync.Once
+}
+
+func (h holdTransport) Listen(addr string) (wire.Listener, error) {
+	l, err := h.Mem.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return holdListener{Listener: l, h: h}, nil
+}
+
+type holdListener struct {
+	wire.Listener
+	h holdTransport
+}
+
+func (l holdListener) Accept() (wire.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return holdConn{Conn: c, h: l.h}, nil
+}
+
+type holdConn struct {
+	wire.Conn
+	h holdTransport
+}
+
+func (c holdConn) Write(p []byte) (int, error) {
+	first := false
+	c.h.once.Do(func() { first = true })
+	if first {
+		close(c.h.writing)
+		<-c.h.release
+	}
+	return c.Conn.Write(p)
+}
+
+// A Drain that settles while a Schedule reply is still being written
+// must let that reply reach its client: the dispatch is in the engine
+// (and in the flush), so a caller told "lost" would fall back to a
+// random site the fleet's view never hears of.
+func TestDrainLetsInFlightScheduleReplyOut(t *testing.T) {
+	clock := vtime.NewReal()
+	tr := holdTransport{Mem: wire.NewMem(), writing: make(chan struct{}), release: make(chan struct{}), once: &sync.Once{}}
+	dp, err := New(Config{
+		Name: "dp-0", Addr: "dp-0", Transport: tr, Clock: clock,
+		Profile: wire.Instant(), ExchangeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.Engine().UpdateSites(testStatuses(50), clock.Now())
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dp.Stop)
+	cli := wire.NewClient(wire.ClientConfig{
+		Node: "client-0", ServerNode: "dp-0", Addr: "dp-0", Transport: tr.Mem, Clock: clock,
+	})
+	t.Cleanup(cli.Close)
+
+	replied := make(chan error, 1)
+	go func() {
+		_, err := wire.Call[ScheduleArgs, ScheduleReply](cli, MethodSchedule,
+			ScheduleArgs{JobID: "j1", Owner: "atlas", CPUs: 1, Runtime: time.Hour}, time.Minute)
+		replied <- err
+	}()
+	<-tr.writing
+	if got := dp.Engine().Stats().LocalDispatches; got != 1 {
+		t.Fatalf("engine local dispatches = %d, want 1 before the reply leaves", got)
+	}
+
+	// Nothing is in flight, no peer is owed anything: the drain goes
+	// straight to its stop while the reply is held.
+	drained := make(chan error, 1)
+	go func() { drained <- dp.Drain(time.Minute) }()
+	waitState(t, dp, StateStopped)
+	close(tr.release)
+	if err := <-replied; err != nil {
+		t.Fatalf("schedule reply cut off by the drain: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

@@ -4,9 +4,9 @@ import "fmt"
 
 // DisseminationStrategy selects what decision points exchange (paper
 // Section 3.5 lists the three approaches) and the shape of the round
-// that carries it. Every disseminating strategy runs the same round
-// (gossip.go) over per-origin logs and version vectors; the strategy
-// picks its targets and message shape and nothing else.
+// that carries it. Every strategy runs the same round (gossip.go) over
+// per-origin logs and version vectors; the strategy picks its targets
+// and message shape and nothing else.
 type DisseminationStrategy int
 
 // Dissemination strategies.
@@ -22,7 +22,8 @@ const (
 	// decision points.
 	UsageAndUSLAs
 	// NoExchange disables synchronization: each decision point relies
-	// only on its own observations.
+	// only on its own observations. Its round has no targets; it still
+	// compacts the own log (by expiry) and checkpoints a durable point.
 	NoExchange
 	// Gossip replaces the full mesh with peer-sampling push-pull
 	// dissemination (internal/gossip): each round contacts a seeded

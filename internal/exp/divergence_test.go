@@ -67,19 +67,6 @@ func divergenceFixture(t *testing.T, exchangeEvery int) *tsdb.Registry {
 		defer dp.Stop()
 	}
 
-	// quiesce waits (real time) for the servers' deferred in-flight
-	// accounting to settle after a synchronous round, so samples always
-	// read a settled fleet.
-	quiesce := func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for dps[0].Status().InFlight != 0 || dps[1].Status().InFlight != 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("fleet did not quiesce")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
 	for step := 1; step <= 30; step++ {
 		// dp-a brokers one job onto the fullest site (ground truth and
 		// dp-a's own view agree: dp-a sees every dispatch it makes).
@@ -99,7 +86,6 @@ func divergenceFixture(t *testing.T, exchangeEvery int) *tsdb.Registry {
 		if step%exchangeEvery == 0 {
 			dps[0].ExchangeNow()
 			dps[1].ExchangeNow()
-			quiesce()
 		}
 		reg.Sample(clock.Now())
 	}

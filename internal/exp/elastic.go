@@ -82,7 +82,7 @@ type elasticOutcome struct {
 
 // runElasticScenario drives the scripted workload through a live
 // Controller-managed fleet under a Manual clock. Every step submits the
-// scripted jobs synchronously, quiesces, advances one virtual minute,
+// scripted jobs synchronously, advances one virtual minute,
 // samples the metrics plane, runs one exchange round per member, and
 // evaluates the controller — so the whole run, metrics registry
 // included, is a pure function of the script.
@@ -161,25 +161,6 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 	}
 	ctl.ManageClients(clients)
 
-	// quiesce waits (real time) for the serving members' deferred
-	// in-flight accounting to settle, so samples — and the drain's settle
-	// check — read a settled fleet.
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range ctl.Fleet() {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: elastic fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
-
 	var out elasticOutcome
 	seq := 0
 	for step := 0; step < elasticSteps; step++ {
@@ -210,12 +191,6 @@ func runElasticScenario() (elasticOutcome, *tsdb.Registry, error) {
 		handledCtr.Add(int64(handled))
 		for _, dp := range ctl.Fleet() {
 			dp.ExchangeNow()
-		}
-		// Quiesce after the exchange rounds: their server-side in-flight
-		// accounting settles asynchronously, and a sample (or a drain's
-		// settle check) must never observe it mid-flight.
-		if err := quiesce(); err != nil {
-			return elasticOutcome{}, nil, err
 		}
 		clock.Advance(time.Minute)
 		reg.Sample(clock.Now())

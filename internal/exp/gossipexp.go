@@ -170,24 +170,6 @@ func runGossipFleet(r gossipRun, seed int64) (gossipOutcome, *tsdb.Registry, err
 		}
 	}()
 
-	// quiesce waits (real time) for server-side in-flight accounting to
-	// settle after a burst of rounds, so samples read a settled fleet.
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range dps {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: gossip fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
-
 	fleetDiv := func() float64 {
 		sum := 0.0
 		for _, dp := range dps {
@@ -228,9 +210,6 @@ func runGossipFleet(r gossipRun, seed int64) (gossipOutcome, *tsdb.Registry, err
 				dp.ExchangeNow()
 			}
 			out.Rounds++
-		}
-		if err := quiesce(); err != nil {
-			return gossipOutcome{}, nil, err
 		}
 		clock.Advance(time.Minute)
 		reg.Sample(clock.Now())

@@ -103,24 +103,7 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 	}
 	defer c.Close()
 
-	// quiesce waits (real time) for the running brokers' deferred
-	// in-flight accounting to settle, so samples read a settled fleet.
-	quiesce := func(down int) {
-		deadline := time.Now().Add(5 * time.Second)
-		for i, dp := range dps {
-			if i == down {
-				continue
-			}
-			for dp.Status().InFlight != 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("fleet did not quiesce")
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	step := func(down int) {
-		quiesce(down)
+	step := func() {
 		clock.Advance(time.Minute)
 		reg.Sample(clock.Now())
 	}
@@ -134,7 +117,7 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 		if dec := c.Schedule(job(fmt.Sprintf("warm-%d", i))); !dec.Handled {
 			t.Fatalf("warm-%d not handled by a healthy primary: %+v", i, dec)
 		}
-		step(-1)
+		step()
 	}
 
 	// Primary outage. The first storm job burns the retry budget, the
@@ -146,7 +129,7 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 		if dec := c.Schedule(job(fmt.Sprintf("storm-%d", i))); dec.Handled || dec.Site != "fallback" {
 			t.Fatalf("storm-%d against a dead primary = %+v, want fallback", i, dec)
 		}
-		step(0)
+		step()
 	}
 	if got := c.DPName(); got != "ov-b" {
 		t.Fatalf("client failed over to %q, want ov-b", got)
@@ -154,7 +137,7 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 	if dec := c.Schedule(job("storm-2")); !dec.Handled {
 		t.Fatalf("storm-2 not handled after failover: %+v", dec)
 	}
-	step(0)
+	step()
 
 	// Deadline expiry at the dequeue boundary: a zero-timeout call stamps
 	// Deadline = now on the frame before the caller's own timeout check
@@ -176,7 +159,7 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	step(0)
+	step()
 
 	// Heal: restart the primary, wait out the breaker cooldown, and send
 	// the client home. The half-open probe succeeds and the breaker
@@ -189,12 +172,12 @@ func overloadFixture(t *testing.T) *tsdb.Registry {
 	if dec := c.Schedule(job("heal-0")); !dec.Handled {
 		t.Fatalf("heal-0 not handled by the recovered primary: %+v", dec)
 	}
-	step(-1)
+	step()
 	for i := 1; i < 3; i++ {
 		if dec := c.Schedule(job(fmt.Sprintf("heal-%d", i))); !dec.Handled {
 			t.Fatalf("heal-%d not handled: %+v", i, dec)
 		}
-		step(-1)
+		step()
 	}
 	return reg
 }

@@ -140,22 +140,6 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 		defer c.Close()
 	}
 
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range dps {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: recovery fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
-
 	var out recoveryOutcome
 	var acked []string
 	seq := 0
@@ -186,14 +170,11 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 		}
 	}
 
-	// Ramp to peak. Each step: submit, exchange, quiesce, advance,
+	// Ramp to peak. Each step: submit, exchange, advance,
 	// sample — the metrics plane is a pure function of the script.
 	for step := 0; step < recoverySteps; step++ {
 		submitWave(recoveryOffered(step), true)
 		exchangeAll()
-		if err := quiesce(); err != nil {
-			return recoveryOutcome{}, err
-		}
 		clock.Advance(time.Minute)
 		reg.Sample(clock.Now())
 	}
@@ -214,9 +195,6 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 		}
 	}
 	out.Unjournaled = len(acked) - preBurst
-	if err := quiesce(); err != nil {
-		return recoveryOutcome{}, err
-	}
 	out.Acked = len(acked)
 
 	// Peak-load fleet-wide crash: every decision point at once.
@@ -245,9 +223,6 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 	}
 	exchangeAll()
 	exchangeAll()
-	if err := quiesce(); err != nil {
-		return recoveryOutcome{}, err
-	}
 	clock.Advance(time.Minute)
 	reg.Sample(clock.Now())
 
@@ -282,9 +257,6 @@ func runRecoveryScenario() (recoveryOutcome, error) {
 	// Service continues: one more wave through the recovered fleet.
 	out.PostOffered = 3 * len(clients)
 	out.PostHandled = submitWave(3, false)
-	if err := quiesce(); err != nil {
-		return recoveryOutcome{}, err
-	}
 	clock.Advance(time.Minute)
 	reg.Sample(clock.Now())
 

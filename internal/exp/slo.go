@@ -133,7 +133,7 @@ type sloOutcome struct {
 // carries the decision's trace ID as its exemplar); their *latencies*
 // come from the fluid backlog model, observed into the per-VO windowed
 // histograms the SLO evaluator reads back. Each step: submit, observe,
-// exchange, quiesce, advance one virtual minute, sample, evaluate the
+// exchange, advance one virtual minute, sample, evaluate the
 // objectives, evaluate the controller. The whole run — metrics registry,
 // transition log, trace records — is a pure function of the script.
 func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
@@ -255,24 +255,6 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 	}
 	ctl.ManageClients(clients)
 
-	// quiesce waits (real time) for the serving members' deferred
-	// in-flight accounting to settle before any sample reads it.
-	quiesce := func() error {
-		//lint:allow wallclock -- real-time watchdog for goroutine scheduling, not simulated time
-		deadline := time.Now().Add(10 * time.Second)
-		for _, dp := range ctl.Fleet() {
-			for dp.Status().InFlight != 0 {
-				//lint:allow wallclock -- real-time watchdog, not simulated time
-				if time.Now().After(deadline) {
-					return fmt.Errorf("exp: slo fleet did not quiesce")
-				}
-				//lint:allow wallclock -- yields to the server goroutines; no simulated time passes
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	}
-
 	out := sloOutcome{FirstFiringStep: -1, FirstGoodputBreachStep: -1}
 	backlog := 0
 	seq := 0
@@ -311,9 +293,6 @@ func runSLOScenario() (sloOutcome, *tsdb.Registry, error) {
 		}
 		for _, dp := range ctl.Fleet() {
 			dp.ExchangeNow()
-		}
-		if err := quiesce(); err != nil {
-			return sloOutcome{}, nil, err
 		}
 		clock.Advance(time.Minute)
 		reg.Sample(clock.Now())

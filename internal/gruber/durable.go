@@ -64,7 +64,8 @@ type RestoreStats struct {
 	Duplicates int
 }
 
-func (s *RestoreStats) add(o RestoreStats) {
+// Add accumulates o's counts into s.
+func (s *RestoreStats) Add(o RestoreStats) {
 	s.Logged += o.Logged
 	s.Applied += o.Applied
 	s.Expired += o.Expired

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,44 +11,76 @@ import (
 	"digruber/internal/vtime"
 )
 
-// TestServerMetricsRegistration: the registered gauges track the same
-// atomics Stats() reads, sampled into series.
-func TestServerMetricsRegistration(t *testing.T) {
+// statsTap records the server's Stats from inside every write the
+// server makes on an accepted connection, i.e. while a reply is leaving.
+type statsTap struct {
+	Listener
+	srv  *Server
+	mu   sync.Mutex
+	seen []Stats
+}
+
+func (t *statsTap) Accept() (Conn, error) {
+	c, err := t.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{Conn: c, tap: t}, nil
+}
+
+type tapConn struct {
+	Conn
+	tap *statsTap
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	st := c.tap.srv.Stats()
+	c.tap.mu.Lock()
+	c.tap.seen = append(c.tap.seen, st)
+	c.tap.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestStatsSettledBeforeReplyLeaves: every counter a request moves,
+// in-flight and lane in-flight included, is final before its response
+// is written, so a caller holding its reply reads settled Stats.
+func TestStatsSettledBeforeReplyLeaves(t *testing.T) {
 	clock := vtime.NewReal()
-	srv, cli := newPair(t, Instant(), nil, clock)
+	mem := NewMem()
+	srv := NewServer("server-node", Instant(), clock)
+	srv.ReserveLane(1, 4, "mesh")
 	Handle(srv, "echo", func(r echoReq) (echoResp, error) { return echoResp(r), nil })
+	Handle(srv, "mesh", func(r echoReq) (echoResp, error) { return echoResp(r), nil })
+	l, err := mem.Listen("dp-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &statsTap{Listener: l, srv: srv}
+	go srv.Serve(tap)
+	t.Cleanup(func() { srv.Close(); l.Close() })
+	cli := NewClient(ClientConfig{
+		Node: "client-node", ServerNode: "server-node",
+		Addr: "dp-0", Transport: mem, Clock: clock,
+	})
+	t.Cleanup(cli.Close)
 
-	reg := tsdb.New(0)
-	srv.RegisterMetrics(reg, "srv")
-
-	for i := 0; i < 3; i++ {
-		if _, err := Call[echoReq, echoResp](cli, "echo", echoReq{Msg: "x"}, time.Second); err != nil {
+	for i, method := range []string{"echo", "mesh", "echo", "mesh"} {
+		if _, err := Call[echoReq, echoResp](cli, method, echoReq{Msg: "x"}, time.Second); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The server decrements in-flight in a defer that runs after the
-	// response send, so it can still read 1 for an instant after a
-	// synchronous call returns — wait for it to settle before sampling.
-	for deadline := time.Now().Add(5 * time.Second); srv.Stats().InFlight != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("server did not quiesce")
+		st := srv.Stats()
+		if st.Completed != int64(i+1) || st.InFlight != 0 || st.LaneInFlight != 0 {
+			t.Fatalf("after call %d (%s): stats = %+v", i+1, method, st)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	reg.Sample(clock.Now())
-
-	for name, want := range map[string]float64{
-		"srv/received":  3,
-		"srv/completed": 3,
-		"srv/shed":      0,
-		"srv/conn_lost": 0,
-		"srv/failed":    0,
-		"srv/inflight":  0,
-		"srv/queue":     0,
-	} {
-		p, ok := reg.Latest(name)
-		if !ok || p.V != want {
-			t.Errorf("%s = %v (ok=%v), want %v", name, p.V, ok, want)
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	if len(tap.seen) == 0 {
+		t.Fatal("no server write observed")
+	}
+	for _, st := range tap.seen {
+		if st.InFlight != 0 || st.LaneInFlight != 0 {
+			t.Fatalf("reply written with InFlight=%d LaneInFlight=%d", st.InFlight, st.LaneInFlight)
 		}
 	}
 }

@@ -64,6 +64,12 @@ type Server struct {
 	inflight     atomic.Int64
 	laneInflight atomic.Int64
 
+	// replies is held shared by a worker from the moment its request
+	// leaves the in-flight counters until its reply is written, and
+	// exclusively by Shutdown: once Stats shows nothing in flight,
+	// Shutdown cuts off no reply of a request that has finished.
+	replies sync.RWMutex
+
 	statMu  sync.Mutex
 	service stats.Online // observed service times, seconds
 
@@ -138,8 +144,7 @@ func (s *Server) laneWorker(lane chan job) {
 		select {
 		case j := <-lane:
 			s.laneInflight.Add(1)
-			s.process(j)
-			s.laneInflight.Add(-1)
+			s.process(j, true)
 		case <-s.closeCh:
 			return
 		}
@@ -286,14 +291,39 @@ func (s *Server) worker() {
 	for {
 		select {
 		case j := <-s.work:
-			s.process(j)
+			s.process(j, false)
 		case <-s.closeCh:
 			return
 		}
 	}
 }
 
-func (s *Server) process(j job) {
+// process serves one dequeued request and writes its response. Every
+// counter is final before that write, inflight (and, for a reserved-lane
+// request, laneInflight) included, so a caller holding its reply reads
+// settled Stats. Only ConnLost, the failed write itself, lands after.
+func (s *Server) process(j job, lane bool) {
+	resp, ran := s.run(j)
+	s.replies.RLock()
+	if ran {
+		s.inflight.Add(-1)
+	}
+	if lane {
+		s.laneInflight.Add(-1)
+	}
+	err := j.conn.send(resp)
+	s.replies.RUnlock()
+	if err != nil {
+		// The response had nowhere to go: the caller hung up (timed out,
+		// failed over, or died) before the container finished.
+		s.connLost.Add(1)
+	}
+}
+
+// run executes one request and returns its response frame. ran reports
+// whether the request got past the deadline check and so was counted in
+// flight; process takes it back out.
+func (s *Server) run(j job) (resp frame, ran bool) {
 	// Stale-work control: a request whose propagated deadline has passed
 	// is dropped here, at dequeue, before the handler or the emulated
 	// stack cost — its caller already timed out, so finishing the work
@@ -302,14 +332,10 @@ func (s *Server) process(j job) {
 	// into completed or failed.
 	if dl := j.f.Deadline; dl != 0 && !s.clock.Now().Before(time.Unix(0, dl)) {
 		s.expired.Add(1)
-		if err := j.conn.send(frame{ID: j.f.ID, Kind: frameResponse, Err: ErrExpired.Error()}); err != nil {
-			s.connLost.Add(1)
-		}
-		return
+		return frame{ID: j.f.ID, Kind: frameResponse, Err: ErrExpired.Error()}, false
 	}
 
 	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 
 	s.mu.RLock()
 	h, ok := s.handlers[j.f.Method]
@@ -356,11 +382,7 @@ func (s *Server) process(j job) {
 		s.completed.Add(1)
 	}
 	s.bytes.count(j.f.Method, 0, len(respBody))
-	if err := j.conn.send(frame{ID: j.f.ID, Kind: frameResponse, Body: respBody, Err: errStr}); err != nil {
-		// The response had nowhere to go: the caller hung up (timed out,
-		// failed over, or died) before the container finished.
-		s.connLost.Add(1)
-	}
+	return frame{ID: j.f.ID, Kind: frameResponse, Body: respBody, Err: errStr}, true
 }
 
 // Close stops the workers and severs every active connection, as a
@@ -382,6 +404,17 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		_ = c.raw.Close()
 	}
+}
+
+// Shutdown is Close for a server whose work has settled: it first lets
+// every request that has left the in-flight counters finish writing its
+// reply, so a caller that saw Stats report nothing in flight or queued
+// loses no reply to the shutdown. Requests still running when it is
+// called finish into the void, as under Close.
+func (s *Server) Shutdown() {
+	s.replies.Lock()
+	defer s.replies.Unlock()
+	s.Close()
 }
 
 // Stats is a snapshot of server-side load counters, the raw material for
